@@ -37,6 +37,7 @@ from repro.core.flow import FlowValidationError, ResourceFlow
 from repro.core.maxflow import DinicMaxFlow
 from repro.core.minflow import (
     InfeasibleFlowError,
+    MinFlowNetwork,
     MinFlowResult,
     allocation_min_budget,
     min_flow_with_lower_bounds,
@@ -76,6 +77,7 @@ from repro.core.series_parallel import (
 )
 from repro.core.exact import (
     ExactSearchLimit,
+    ExactSearchStats,
     exact_min_makespan,
     exact_min_makespan_arcs,
     exact_min_resource,
@@ -99,7 +101,8 @@ __all__ = [
     "TwoTupleExpansion", "node_to_arc_dag", "expand_to_two_tuples", "section33_binary_tuples",
     # flows
     "ResourceFlow", "FlowValidationError", "DinicMaxFlow",
-    "MinFlowResult", "InfeasibleFlowError", "min_flow_with_lower_bounds", "allocation_min_budget",
+    "MinFlowResult", "MinFlowNetwork", "InfeasibleFlowError", "min_flow_with_lower_bounds",
+    "allocation_min_budget",
     # LP + rounding
     "LPSolution", "solve_min_makespan_lp", "solve_min_resource_lp",
     "solve_min_makespan_sweep", "solve_min_resource_sweep",
@@ -116,7 +119,7 @@ __all__ = [
     "decompose_series_parallel",
     # exact + baselines
     "exact_min_makespan", "exact_min_resource", "exact_min_makespan_arcs",
-    "exact_min_resource_arcs", "ExactSearchLimit",
+    "exact_min_resource_arcs", "ExactSearchLimit", "ExactSearchStats",
     "no_resource_solution", "uniform_split_solution", "greedy_path_reuse",
     "greedy_no_reuse", "greedy_global_reuse", "peak_resource_usage",
 ]

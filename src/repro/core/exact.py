@@ -18,6 +18,11 @@ reductions end to end:
   optimistic longest paths and monotone min-flow lower bounds, making the
   1-in-3SAT and Partition constructions of Section 4 tractable for small
   formulas.
+
+Each search compiles its DAG once (topological order, arc index lists, one
+min-flow network), takes its parent's min-flow wherever that stays optimal,
+and prunes with the arcs every improving completion must expedite; none of
+this changes an answer (see "Exact oracle" in ``docs/performance.md``).
 """
 
 from __future__ import annotations
@@ -25,11 +30,16 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.arcdag import Arc, ArcDAG, node_to_arc_dag
 from repro.core.dag import TradeoffDAG
-from repro.core.minflow import InfeasibleFlowError, min_flow_with_lower_bounds
+from repro.core.minflow import (
+    InfeasibleFlowError,
+    MinFlowNetwork,
+    MinFlowResult,
+    min_flow_with_lower_bounds,
+)
 from repro.core.problem import TradeoffSolution
 from repro.utils.validation import check_non_negative, require
 
@@ -39,6 +49,7 @@ __all__ = [
     "exact_min_resource_arcs",
     "exact_min_makespan_arcs",
     "ExactSearchLimit",
+    "ExactSearchStats",
 ]
 
 
@@ -49,8 +60,10 @@ class ExactSearchLimit(RuntimeError):
 # ----------------------------------------------------------------------
 # activity-on-node exhaustive solvers
 # ----------------------------------------------------------------------
-def _candidate_levels(dag: TradeoffDAG, budget: Optional[float]) -> Dict[Hashable, List[float]]:
-    levels: Dict[Hashable, List[float]] = {}
+def _candidate_levels(dag: TradeoffDAG, budget: Optional[float]
+                      ) -> Dict[Hashable, List[Tuple[float, float]]]:
+    """Per job, its candidate ``(resource, duration)`` allocations."""
+    levels: Dict[Hashable, List[Tuple[float, float]]] = {}
     for job in dag.jobs:
         fn = dag.duration_function(job)
         opts = [r for r, _t in fn.tuples()]
@@ -58,17 +71,42 @@ def _candidate_levels(dag: TradeoffDAG, budget: Optional[float]) -> Dict[Hashabl
             opts = [r for r in opts if r <= budget]
             if not opts:
                 opts = [0.0]
-        levels[job] = opts
+        levels[job] = [(r, fn.duration(r)) for r in opts]
     return levels
 
 
-def _combination_count(levels: Mapping[Hashable, Sequence[float]]) -> int:
+def _combination_count(levels: Mapping[Hashable, Sequence[Tuple[float, float]]]) -> int:
     count = 1
     for opts in levels.values():
         count *= len(opts)
         if count > 10 ** 12:
             break
     return count
+
+
+class _CompiledMakespan:
+    """A node DAG's makespan evaluation, with its topological order fixed once.
+
+    :meth:`makespan` takes one duration per job (in ``jobs`` order) and
+    returns ``dag.makespan_value`` of the allocation those durations came
+    from, with the same float operations in the same order: each job
+    finishes at the latest finish of its predecessors plus its duration, and
+    the makespan is the latest finish.
+    """
+
+    def __init__(self, dag: TradeoffDAG, jobs: Sequence[Hashable]) -> None:
+        order = dag.topological_order()
+        position = {job: i for i, job in enumerate(order)}
+        slot = {job: i for i, job in enumerate(jobs)}
+        self._plan = [(slot[job], [position[p] for p in dag.predecessors(job)])
+                      for job in order]
+
+    def makespan(self, durations: Sequence[float]) -> float:
+        finish: List[float] = []
+        for job, predecessors in self._plan:
+            start = max([finish[p] for p in predecessors]) if predecessors else 0.0
+            finish.append(start + durations[job])
+        return max(finish, default=0.0)
 
 
 def exact_min_makespan(dag: TradeoffDAG, budget: float,
@@ -90,20 +128,22 @@ def exact_min_makespan(dag: TradeoffDAG, budget: float,
             f"{count} allocation combinations exceed the limit of {max_combinations}")
 
     arc_dag, mapping = node_to_arc_dag(dag)
+    network = MinFlowNetwork(arc_dag)
     jobs = list(levels)
+    job_arcs = [mapping.job_arc[j] for j in jobs]
+    evaluator = _CompiledMakespan(dag, jobs)
     best: Optional[TradeoffSolution] = None
     pruned = 0
     flow_checks = 0
-    for combo in itertools.product(*(levels[j] for j in jobs)):
-        allocation = dict(zip(jobs, combo))
-        makespan = dag.makespan_value(allocation)
+    for combo in itertools.product(*levels.values()):
+        makespan = evaluator.makespan([t for _r, t in combo])
         if best is not None and makespan >= best.makespan:
             pruned += 1
             continue
-        lower = {mapping.job_arc[j]: allocation[j] for j in jobs if allocation[j] > 0}
+        lower = {arc: r for arc, (r, _t) in zip(job_arcs, combo) if r > 0}
         flow_checks += 1
         try:
-            result = min_flow_with_lower_bounds(arc_dag, lower)
+            result = min_flow_with_lower_bounds(arc_dag, lower, network=network)
         except InfeasibleFlowError:
             continue
         if result.value > budget + 1e-9:
@@ -111,7 +151,7 @@ def exact_min_makespan(dag: TradeoffDAG, budget: float,
         best = TradeoffSolution(
             makespan=makespan,
             budget_used=result.value,
-            allocation=dict(allocation),
+            allocation={job: r for job, (r, _t) in zip(jobs, combo)},
             algorithm="exact-enumeration",
             lower_bound=makespan,
             metadata={"budget": budget, "combinations": count,
@@ -142,13 +182,15 @@ def exact_min_resource(dag: TradeoffDAG, target_makespan: float,
             f"{count} allocation combinations exceed the limit of {max_combinations}")
 
     arc_dag, mapping = node_to_arc_dag(dag)
+    network = MinFlowNetwork(arc_dag)
     jobs = list(levels)
+    job_arcs = [mapping.job_arc[j] for j in jobs]
+    evaluator = _CompiledMakespan(dag, jobs)
     best: Optional[TradeoffSolution] = None
     pruned = 0
     flow_checks = 0
-    for combo in itertools.product(*(levels[j] for j in jobs)):
-        allocation = dict(zip(jobs, combo))
-        makespan = dag.makespan_value(allocation)
+    for combo in itertools.product(*levels.values()):
+        makespan = evaluator.makespan([t for _r, t in combo])
         if makespan > target_makespan + 1e-9:
             continue
         # Bound on the running best: every unit allocated to a job must be
@@ -156,20 +198,20 @@ def exact_min_resource(dag: TradeoffDAG, target_makespan: float,
         # largest single-job allocation.  A combination whose peak
         # allocation already matches or exceeds the incumbent budget cannot
         # improve it -- skip the (expensive) min-flow computation.
-        if best is not None and max(combo, default=0.0) >= best.budget_used:
+        if best is not None and max([r for r, _t in combo], default=0.0) >= best.budget_used:
             pruned += 1
             continue
-        lower = {mapping.job_arc[j]: allocation[j] for j in jobs if allocation[j] > 0}
+        lower = {arc: r for arc, (r, _t) in zip(job_arcs, combo) if r > 0}
         flow_checks += 1
         try:
-            result = min_flow_with_lower_bounds(arc_dag, lower)
+            result = min_flow_with_lower_bounds(arc_dag, lower, network=network)
         except InfeasibleFlowError:
             continue
         if best is None or result.value < best.budget_used:
             best = TradeoffSolution(
                 makespan=makespan,
                 budget_used=result.value,
-                allocation=dict(allocation),
+                allocation={job: r for job, (r, _t) in zip(jobs, combo)},
                 algorithm="exact-enumeration-minresource",
                 resource_lower_bound=result.value,
                 metadata={"target_makespan": target_makespan, "combinations": count,
@@ -190,37 +232,215 @@ def exact_min_resource(dag: TradeoffDAG, target_makespan: float,
 # activity-on-arc branch and bound
 # ----------------------------------------------------------------------
 @dataclass
+class ExactSearchStats:
+    """What the arc searches did; pass one as ``stats=`` to have it counted.
+
+    The counts add up over every search the object is passed to, and
+    counting changes nothing about a search.
+
+    Attributes
+    ----------
+    explored:
+        Search nodes visited (what ``node_limit`` bounds).
+    flow_solves:
+        Min-flows solved.
+    flow_reuses:
+        Nodes whose min-flow bound came from their parent's flow instead of
+        a solve.
+    """
+
+    explored: int = 0
+    flow_solves: int = 0
+    flow_reuses: int = 0
+
+
+@dataclass
 class _ArcChoice:
-    arc: Arc
+    index: int          # of the arc, in ``arc_dag.arcs`` order
+    arc_id: str
     base_time: float
     improved_time: float
     requirement: float
+    tail: int           # topological positions of the arc's ends
+    head: int
 
 
-def _arc_choices(arc_dag: ArcDAG) -> List[_ArcChoice]:
+def _arc_choices(arcs: Sequence[Arc], position: Mapping[Hashable, int]) -> List[_ArcChoice]:
+    """The improvable arcs, by decreasing saving: deciding the most influential
+    arcs first tightens the bounds quickly."""
     choices: List[_ArcChoice] = []
-    for arc in arc_dag.arcs:
+    for index, arc in enumerate(arcs):
         tuples = arc.duration.tuples()
         require(len(tuples) <= 2,
                 f"arc {arc.arc_id} has more than two tuples; expand_to_two_tuples first")
         if len(tuples) == 2 and tuples[0][1] > tuples[1][1]:
-            choices.append(_ArcChoice(arc, tuples[0][1], tuples[1][1], tuples[1][0]))
+            choices.append(_ArcChoice(index, arc.arc_id, tuples[0][1], tuples[1][1],
+                                      tuples[1][0], position[arc.tail], position[arc.head]))
+    choices.sort(key=lambda c: c.base_time - c.improved_time, reverse=True)
     return choices
 
 
-def _longest_path(arc_dag: ArcDAG, durations: Mapping[str, float]) -> float:
-    times: Dict[Hashable, float] = {}
-    for v in arc_dag.topological_vertices():
-        in_arcs = arc_dag.in_arcs(v)
-        if not in_arcs:
-            times[v] = 0.0
-            continue
-        times[v] = max(times[a.tail] + durations.get(a.arc_id, a.base_time) for a in in_arcs)
-    return times.get(arc_dag.sink, 0.0)
+class _ArcSearch:
+    """Branch and bound over the expedite decisions of an arc DAG, compiled once.
+
+    Built once per search: the topological order, each vertex's in-arcs and
+    out-arcs as index lists, the base times and the min-flow network.  The
+    search keeps one list of durations by arc index -- decided arcs at their
+    decided time, undecided arcs expedited -- so the optimistic longest path
+    of a node is one pass over arrays.  Both arc searches run it; they
+    differ in their two bounds, their objective and which branch comes
+    first.
+    """
+
+    def __init__(self, arc_dag: ArcDAG, node_limit: int) -> None:
+        arcs = arc_dag.arcs
+        order = arc_dag.topological_vertices()
+        position = {v: i for i, v in enumerate(order)}
+        into: List[List[Tuple[int, int]]] = [[] for _ in order]
+        out_of: List[List[Tuple[int, int]]] = [[] for _ in order]
+        for index, arc in enumerate(arcs):
+            into[position[arc.head]].append((position[arc.tail], index))
+            out_of[position[arc.tail]].append((position[arc.head], index))
+        self._into = [(v, pairs) for v, pairs in enumerate(into) if pairs]
+        self._out_of = [(v, pairs) for v, pairs in reversed(list(enumerate(out_of))) if pairs]
+        self._num_vertices = len(order)
+        self.sink = position[arc_dag.sink]
+        self.choices = _arc_choices(arcs, position)
+        self.base = [arc.base_time for arc in arcs]
+        self.arc_dag = arc_dag
+        self.network = MinFlowNetwork(arc_dag)
+        self.node_limit = node_limit
+        self.stats = ExactSearchStats()
+        self.best_value = math.inf
+        self.best_flow: Dict[str, float] = {}
+
+    def optimistic_durations(self) -> List[float]:
+        """Base times, with every improvable arc expedited."""
+        durations = list(self.base)
+        for choice in self.choices:
+            durations[choice.index] = choice.improved_time
+        return durations
+
+    def event_times(self, durations: Sequence[float]) -> List[float]:
+        """Longest path from the source to each vertex (by topological position)."""
+        times = [0.0] * self._num_vertices
+        for v, pairs in self._into:
+            times[v] = max([times[u] + durations[a] for u, a in pairs])
+        return times
+
+    def min_flow(self, lower: Mapping[str, float]) -> MinFlowResult:
+        """The min-flow of ``lower``, solved on the compiled network."""
+        self.stats.flow_solves += 1
+        return min_flow_with_lower_bounds(self.arc_dag, lower, network=self.network)
+
+    def forced_arcs_prune(self, index: int, expedited: Mapping[str, float],
+                          partial: MinFlowResult, durations: Sequence[float],
+                          times: Sequence[float], too_long: Callable[[float], bool],
+                          too_costly: Callable[[float], bool]) -> bool:
+        """Bound 3: whether the arcs every improving completion must expedite cost too much.
+
+        An undecided arc is forced when the longest path through it at its
+        base time, every other undecided arc expedited, is already
+        ``too_long``: bound 1 cuts every completion that leaves it as it
+        is.  One backward pass gives each vertex's longest path to the sink;
+        the path through an arc is its tail's time plus its base time plus
+        the rest from its head.  Every completion that can still become the
+        incumbent meets the committed requirements plus the forced ones, so
+        it costs at least their min-flow.  The bound only cuts subtrees in
+        which no incumbent is found, so the incumbents, the optimum and the
+        returned flow stay those of the search without it.
+        """
+        rest = [0.0] * self._num_vertices
+        for v, pairs in self._out_of:
+            rest[v] = max([durations[a] + rest[w] for w, a in pairs])
+        forced = {choice.arc_id: choice.requirement for choice in self.choices[index:]
+                  if too_long(times[choice.tail] + choice.base_time + rest[choice.head])}
+        if all(partial.flow[arc_id] >= need for arc_id, need in forced.items()):
+            # ``partial`` meets them too, and it passed bound 2
+            return False
+        try:
+            return too_costly(self.min_flow({**expedited, **forced}).value)
+        except InfeasibleFlowError:
+            return True
+
+    def run(self, too_long: Callable[[float], bool], too_costly: Callable[[float], bool],
+            objective: Callable[[float, MinFlowResult], float], expedite_first: bool,
+            stats: Optional[ExactSearchStats]) -> None:
+        """Search every expedite decision depth first, in ``choices`` order.
+
+        A node is cut when its optimistic makespan is ``too_long`` (bound 1),
+        when the min-flow of its committed requirements is ``too_costly``
+        (bound 2; it only grows as more arcs are expedited) or by
+        :meth:`forced_arcs_prune`.  A leaf that survives is the new
+        incumbent, valued by ``objective(makespan, min-flow)``.  The
+        not-expedite child commits what its parent did and takes the
+        parent's min-flow; the expedite child takes it too when the parent's
+        flow already carries the new requirement, since that flow then
+        stays optimal.  ``own`` says whether ``partial`` was solved for
+        exactly the node's requirements; a new incumbent's flow is solved
+        afresh when it was not, so that it is the flow its own requirements
+        give.  ``stats`` receives the counts, also when the search stops at
+        ``node_limit``.
+        """
+        choices = self.choices
+        durations = self.optimistic_durations()
+        sink = self.sink
+
+        def visit(index: int, expedited: Dict[str, float],
+                  partial: Optional[MinFlowResult], own: bool) -> None:
+            self.stats.explored += 1
+            if self.stats.explored > self.node_limit:
+                raise ExactSearchLimit(f"branch-and-bound exceeded {self.node_limit} nodes")
+
+            times = self.event_times(durations)
+            if too_long(times[sink]):
+                return
+            if partial is None:
+                try:
+                    partial = self.min_flow(expedited)
+                except InfeasibleFlowError:
+                    return
+                own = True
+            else:
+                self.stats.flow_reuses += 1
+            if too_costly(partial.value):
+                return
+
+            if index == len(choices):
+                if not own:
+                    partial = self.min_flow(expedited)
+                self.best_value = objective(times[sink], partial)
+                self.best_flow = partial.flow
+                return
+            if not math.isinf(self.best_value) and self.forced_arcs_prune(
+                    index, expedited, partial, durations, times, too_long, too_costly):
+                return
+
+            choice = choices[index]
+            carried = partial.flow[choice.arc_id] >= choice.requirement
+            expedite = (index + 1, {**expedited, choice.arc_id: choice.requirement},
+                        partial if carried else None, False)
+            if expedite_first:
+                visit(*expedite)
+            durations[choice.index] = choice.base_time
+            visit(index + 1, expedited, partial, own)
+            durations[choice.index] = choice.improved_time
+            if not expedite_first:
+                visit(*expedite)
+
+        try:
+            visit(0, {}, None, False)
+        finally:
+            if stats is not None:
+                stats.explored += self.stats.explored
+                stats.flow_solves += self.stats.flow_solves
+                stats.flow_reuses += self.stats.flow_reuses
 
 
 def exact_min_resource_arcs(arc_dag: ArcDAG, target_makespan: float,
-                            node_limit: int = 2_000_000) -> Tuple[float, Dict[str, float]]:
+                            node_limit: int = 2_000_000,
+                            stats: Optional[ExactSearchStats] = None
+                            ) -> Tuple[float, Dict[str, float]]:
     """Exact minimum budget for an activity-on-arc DAG with <=2-tuple arcs.
 
     Performs branch and bound over the expedite decisions of the improvable
@@ -229,133 +449,45 @@ def exact_min_resource_arcs(arc_dag: ArcDAG, target_makespan: float,
     arc expedited.
 
     ``node_limit`` bounds the number of search nodes explored (a
-    :class:`ExactSearchLimit` is raised beyond it).
+    :class:`ExactSearchLimit` is raised beyond it); ``stats`` collects the
+    search's counts.
     """
     check_non_negative(target_makespan, "target_makespan")
     arc_dag.validate()
-    choices = _arc_choices(arc_dag)
-    base_durations = {arc.arc_id: arc.base_time for arc in arc_dag.arcs}
-
+    search = _ArcSearch(arc_dag, node_limit)
     # Optimistic check: all improvable arcs expedited.
-    optimistic = dict(base_durations)
-    for choice in choices:
-        optimistic[choice.arc.arc_id] = choice.improved_time
-    if _longest_path(arc_dag, optimistic) > target_makespan + 1e-9:
+    if search.event_times(search.optimistic_durations())[search.sink] > target_makespan + 1e-9:
         return math.inf, {}
-
-    # Order arcs by decreasing potential duration saving: deciding the most
-    # influential arcs first tightens the bounds quickly.
-    choices.sort(key=lambda c: c.base_time - c.improved_time, reverse=True)
-
-    best_value = math.inf
-    best_flow: Dict[str, float] = {}
-    explored = 0
-
-    def search(index: int, expedited: Dict[str, float], durations: Dict[str, float]) -> None:
-        nonlocal best_value, best_flow, explored
-        explored += 1
-        if explored > node_limit:
-            raise ExactSearchLimit(f"branch-and-bound exceeded {node_limit} nodes")
-
-        # Bound 1: optimistic makespan (undecided arcs expedited) must meet target.
-        optimistic_durations = dict(durations)
-        for choice in choices[index:]:
-            optimistic_durations[choice.arc.arc_id] = choice.improved_time
-        if _longest_path(arc_dag, optimistic_durations) > target_makespan + 1e-9:
-            return
-
-        # Bound 2: the min-flow of the already-committed requirements can only
-        # grow as more arcs are expedited.
-        try:
-            partial = min_flow_with_lower_bounds(arc_dag, expedited)
-        except InfeasibleFlowError:
-            return
-        if partial.value >= best_value - 1e-9:
-            return
-
-        if index == len(choices):
-            makespan = _longest_path(arc_dag, durations)
-            if makespan <= target_makespan + 1e-9 and partial.value < best_value:
-                best_value = partial.value
-                best_flow = partial.flow
-            return
-
-        choice = choices[index]
-        # Branch A: do not expedite (cheaper in resources, tried first).
-        durations_no = dict(durations)
-        durations_no[choice.arc.arc_id] = choice.base_time
-        search(index + 1, expedited, durations_no)
-        # Branch B: expedite.
-        durations_yes = dict(durations)
-        durations_yes[choice.arc.arc_id] = choice.improved_time
-        expedited_yes = dict(expedited)
-        expedited_yes[choice.arc.arc_id] = choice.requirement
-        search(index + 1, expedited_yes, durations_yes)
-
-    search(0, {}, dict(base_durations))
-    return best_value, best_flow
+    # The cheaper branch (do not expedite) comes first.
+    search.run(too_long=lambda length: length > target_makespan + 1e-9,
+               too_costly=lambda value: value >= search.best_value - 1e-9,
+               objective=lambda makespan, flow: flow.value,
+               expedite_first=False, stats=stats)
+    return search.best_value, search.best_flow
 
 
 def exact_min_makespan_arcs(arc_dag: ArcDAG, budget: float,
-                            node_limit: int = 2_000_000) -> Tuple[float, Dict[str, float]]:
+                            node_limit: int = 2_000_000,
+                            stats: Optional[ExactSearchStats] = None
+                            ) -> Tuple[float, Dict[str, float]]:
     """Exact minimum makespan for an activity-on-arc DAG with <=2-tuple arcs.
 
     Branch and bound over expedite decisions, pruning with (a) the
     optimistic longest path, which lower-bounds every completion of the
-    current partial assignment, and (b) the monotone min-flow of the
-    committed requirements, which must stay within the budget.
-    Returns ``(makespan, flow)``.
+    current partial assignment, (b) the monotone min-flow of the
+    committed requirements, which must stay within the budget, and (c) the
+    min-flow of those requirements plus the arcs every improving completion
+    must expedite.  Returns ``(makespan, flow)``; ``stats`` collects the
+    search's counts.
     """
     check_non_negative(budget, "budget")
     arc_dag.validate()
-    choices = _arc_choices(arc_dag)
-    base_durations = {arc.arc_id: arc.base_time for arc in arc_dag.arcs}
-    choices.sort(key=lambda c: c.base_time - c.improved_time, reverse=True)
-
-    best_value = math.inf
-    best_flow: Dict[str, float] = {}
-    explored = 0
-
-    def search(index: int, expedited: Dict[str, float], durations: Dict[str, float]) -> None:
-        nonlocal best_value, best_flow, explored
-        explored += 1
-        if explored > node_limit:
-            raise ExactSearchLimit(f"branch-and-bound exceeded {node_limit} nodes")
-
-        optimistic_durations = dict(durations)
-        for choice in choices[index:]:
-            optimistic_durations[choice.arc.arc_id] = choice.improved_time
-        if _longest_path(arc_dag, optimistic_durations) >= best_value - 1e-9:
-            return
-
-        try:
-            partial = min_flow_with_lower_bounds(arc_dag, expedited)
-        except InfeasibleFlowError:
-            return
-        if partial.value > budget + 1e-9:
-            return
-
-        if index == len(choices):
-            makespan = _longest_path(arc_dag, durations)
-            if makespan < best_value:
-                best_value = makespan
-                best_flow = partial.flow
-            return
-
-        choice = choices[index]
-        durations_yes = dict(durations)
-        durations_yes[choice.arc.arc_id] = choice.improved_time
-        expedited_yes = dict(expedited)
-        expedited_yes[choice.arc.arc_id] = choice.requirement
-        search(index + 1, expedited_yes, durations_yes)
-
-        durations_no = dict(durations)
-        durations_no[choice.arc.arc_id] = choice.base_time
-        search(index + 1, expedited, durations_no)
-
-    search(0, {}, dict(base_durations))
-    if math.isinf(best_value):
+    search = _ArcSearch(arc_dag, node_limit)
+    search.run(too_long=lambda length: length >= search.best_value - 1e-9,
+               too_costly=lambda value: value > budget + 1e-9,
+               objective=lambda makespan, flow: makespan,
+               expedite_first=True, stats=stats)
+    if math.isinf(search.best_value):
         # No allocation at all is always feasible for budget >= 0.
-        best_value = _longest_path(arc_dag, base_durations)
-        best_flow = {}
-    return best_value, best_flow
+        return search.event_times(search.base)[search.sink], {}
+    return search.best_value, search.best_flow

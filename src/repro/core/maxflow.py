@@ -15,8 +15,7 @@ verifiers.
 from __future__ import annotations
 
 import math
-from collections import deque
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence
 
 __all__ = ["DinicMaxFlow", "INFINITY"]
 
@@ -45,14 +44,18 @@ class DinicMaxFlow:
 
     The residual network persists across calls to :meth:`max_flow`, which is
     exactly what the min-flow-with-lower-bounds reduction requires (it runs
-    a second max-flow on the residual graph left by the first).
+    a second max-flow on the residual graph left by the first); :meth:`reset`
+    empties it again for another solve on the same layout.
     """
 
     def __init__(self) -> None:
         self._index: Dict[Hashable, int] = {}
         self._names: List[Hashable] = []
         self._graph: List[List[_Edge]] = []
-        self._handles: List[Tuple[int, int, float]] = []  # (vertex, edge pos, original cap)
+        # per handle: the forward edge, its reverse edge and its capacity
+        self._forward: List[_Edge] = []
+        self._backward: List[_Edge] = []
+        self._capacity: List[float] = []
 
     # ------------------------------------------------------------------
     # graph construction
@@ -82,66 +85,137 @@ class DinicMaxFlow:
         bwd = _Edge(ui, 0.0, len(self._graph[ui]), True)
         self._graph[ui].append(fwd)
         self._graph[vi].append(bwd)
-        handle = len(self._handles)
-        self._handles.append((ui, len(self._graph[ui]) - 1, capacity))
-        return handle
+        self._forward.append(fwd)
+        self._backward.append(bwd)
+        self._capacity.append(capacity)
+        return len(self._capacity) - 1
 
-    def _edge(self, handle: int) -> _Edge:
-        u, pos, _cap = self._handles[handle]
-        return self._graph[u][pos]
+    def reset(self, capacities: Sequence[float]) -> None:
+        """Empty every edge and give it a new capacity, one per handle in order.
+
+        The vertices, the edges and their order in the adjacency lists stay
+        as they were, so a network laid out once can be solved again and
+        again; an edge of capacity 0 is never traversed.
+        """
+        if len(capacities) != len(self._capacity):
+            raise ValueError(f"expected {len(self._capacity)} capacities, got {len(capacities)}")
+        if capacities and min(capacities) < 0:
+            raise ValueError(f"capacity must be non-negative, got {min(capacities)}")
+        for fwd, bwd, capacity in zip(self._forward, self._backward, capacities):
+            fwd.cap = capacity
+            bwd.cap = 0.0
+        self._capacity[:] = capacities
 
     def flow_on(self, handle: int) -> float:
         """Flow currently pushed through the edge identified by ``handle``."""
-        u, pos, cap = self._handles[handle]
-        edge = self._graph[u][pos]
+        cap = self._capacity[handle]
         if math.isinf(cap):
             # flow equals the reverse edge's residual capacity
-            return self._graph[edge.to][edge.rev].cap
-        return cap - edge.cap
+            return self._backward[handle].cap
+        return cap - self._forward[handle].cap
 
     def residual_capacity(self, handle: int) -> float:
         """Remaining forward residual capacity of the edge."""
-        return self._edge(handle).cap
+        return self._forward[handle].cap
 
     def set_capacity(self, handle: int, capacity: float) -> None:
         """Reset the *residual* forward capacity of an edge (used to disable arcs)."""
-        self._edge(handle).cap = capacity
+        self._forward[handle].cap = capacity
 
     def disable_edge(self, handle: int) -> None:
         """Remove an edge from further consideration (zero both residual directions)."""
-        u, pos, _cap = self._handles[handle]
-        edge = self._graph[u][pos]
-        edge.cap = 0.0
-        self._graph[edge.to][edge.rev].cap = 0.0
+        self._forward[handle].cap = 0.0
+        self._backward[handle].cap = 0.0
 
     # ------------------------------------------------------------------
     # Dinic
     # ------------------------------------------------------------------
     def _bfs_levels(self, s: int, t: int) -> Optional[List[int]]:
+        """BFS distances from ``s`` over residual edges, or ``None`` if ``t`` is cut off.
+
+        The search stops as soon as ``t`` is labelled: every vertex closer
+        to ``s`` than ``t`` is labelled by then, and the vertices it leaves
+        unlabelled could only be dead ends of the blocking-flow search.
+        """
         level = [-1] * self.num_vertices
         level[s] = 0
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for edge in self._graph[u]:
+        queue = [s]
+        graph = self._graph
+        for u in queue:  # first in, first out: the loop reaches what it appends
+            deeper = level[u] + 1
+            for edge in graph[u]:
                 if edge.cap > 1e-12 and level[edge.to] < 0:
-                    level[edge.to] = level[u] + 1
+                    level[edge.to] = deeper
+                    if edge.to == t:
+                        return level
                     queue.append(edge.to)
-        return level if level[t] >= 0 else None
+        return None
 
-    def _dfs_blocking(self, u: int, t: int, pushed: float, level: List[int], it: List[int]) -> float:
-        if u == t:
-            return pushed
-        while it[u] < len(self._graph[u]):
-            edge = self._graph[u][it[u]]
-            if edge.cap > 1e-12 and level[edge.to] == level[u] + 1:
-                flow = self._dfs_blocking(edge.to, t, min(pushed, edge.cap), level, it)
-                if flow > 1e-12:
-                    edge.cap -= flow
-                    self._graph[edge.to][edge.rev].cap += flow
-                    return flow
-            it[u] += 1
-        return 0.0
+    def _blocking_flow(self, s: int, t: int, level: List[int], total: float,
+                       limit: float) -> float:
+        """Push augmenting paths of the level graph until none is left.
+
+        Returns ``total`` plus what was pushed, stopping early at ``limit``.
+        A depth-first search with an explicit stack, so a path may be as
+        long as the network.  ``it[u]`` is ``u``'s current-arc pointer: the
+        search resumes there, skips edges that are saturated or do not go
+        one level deeper, and moves past an edge only once everything
+        behind it is a dead end (or it would carry a negligible amount into
+        ``t``).  After an augmentation the search resumes below the first
+        edge of the path that is still open, where a search restarted from
+        ``s`` would get back to.  It pushes the same paths, in the same
+        order, as the textbook recursion restarted from ``s`` for every path.
+        """
+        graph = self._graph
+        it = [0] * self.num_vertices
+        vertices = [s]
+        edges: List[_Edge] = []
+        u = s
+        while True:
+            adjacency = graph[u]
+            i = it[u]
+            deeper = level[u] + 1
+            size = len(adjacency)
+            while i < size:
+                edge = adjacency[i]
+                if edge.cap > 1e-12 and level[edge.to] == deeper:
+                    break
+                i += 1
+            it[u] = i
+            if i == size:
+                # dead end: retreat and move the parent past the edge into u
+                if not edges:
+                    return total
+                vertices.pop()
+                edges.pop()
+                u = vertices[-1]
+                it[u] += 1
+                continue
+            if edge.to != t:
+                vertices.append(edge.to)
+                edges.append(edge)
+                u = edge.to
+                continue
+            edges.append(edge)
+            amount = limit - total
+            for edge in edges:
+                if edge.cap < amount:
+                    amount = edge.cap
+            if amount <= 1e-12:
+                edges.pop()
+                it[u] += 1
+                continue
+            for edge in edges:
+                edge.cap -= amount
+                graph[edge.to][edge.rev].cap += amount
+            total += amount
+            if total >= limit:
+                return total
+            saturated = next((k for k, edge in enumerate(edges) if edge.cap <= 1e-12),
+                             len(edges) - 1)
+            del edges[saturated:]
+            del vertices[saturated + 1:]
+            u = vertices[-1]
 
     def max_flow(self, source: Hashable, sink: Hashable, limit: float = INFINITY) -> float:
         """Push as much flow as possible from ``source`` to ``sink``.
@@ -167,12 +241,10 @@ class DinicMaxFlow:
             level = self._bfs_levels(s, t)
             if level is None:
                 break
-            it = [0] * self.num_vertices
-            while True:
-                pushed = self._dfs_blocking(s, t, limit - total, level, it)
-                if pushed <= 1e-12:
-                    break
-                total += pushed
-                if total >= limit:
-                    break
+            total = self._blocking_flow(s, t, level, total, limit)
         return total
+
+    def flows(self) -> List[float]:
+        """Flow currently pushed through every edge, in handle order."""
+        return [backward.cap if math.isinf(cap) else cap - forward.cap
+                for forward, backward, cap in zip(self._forward, self._backward, self._capacity)]

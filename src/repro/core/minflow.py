@@ -17,6 +17,9 @@ The computation uses the classical reduction to two maximum flows:
    which are excluded from the residual capacities).
 
 Both max-flow computations use :class:`repro.core.maxflow.DinicMaxFlow`.
+:class:`MinFlowNetwork` lays that network out once per arc DAG, so a caller
+that solves many lower-bound sets on one DAG (the exact oracle) pays only
+for the two max-flows of each.
 """
 
 from __future__ import annotations
@@ -28,9 +31,10 @@ from typing import Dict, Hashable, Mapping, Optional, Tuple
 from repro.core.arcdag import ArcDAG
 from repro.core.flow import ResourceFlow
 from repro.core.maxflow import INFINITY, DinicMaxFlow
-from repro.utils.validation import check_non_negative
+from repro.utils.validation import check_non_negative, require
 
-__all__ = ["MinFlowResult", "min_flow_with_lower_bounds", "allocation_min_budget"]
+__all__ = ["MinFlowResult", "MinFlowNetwork", "min_flow_with_lower_bounds",
+           "allocation_min_budget"]
 
 
 class InfeasibleFlowError(ValueError):
@@ -59,10 +63,109 @@ class MinFlowResult:
         return rf
 
 
+#: Names of the reduction's two extra vertices.
+_SUPER_SOURCE = ("__minflow_super_source__",)
+_SUPER_SINK = ("__minflow_super_sink__",)
+
+
+class MinFlowNetwork:
+    """The two-max-flow reduction's network for one arc DAG, laid out once.
+
+    The vertices are interned and the edges added once, in the order the
+    reduction needs them: one edge per arc in arc order, the ``t -> s``
+    return arc, then a super-source edge and a super-sink edge per vertex in
+    vertex order.  :meth:`solve` only resets the capacities and reruns the
+    two max-flows.  A vertex without excess in a solve keeps its two super
+    edges at capacity 0, which Dinic never traverses, so the edges that do
+    carry flow sit in the same adjacency order whatever the lower bounds:
+    every solve pushes the paths a network built for its lower bounds alone
+    would push, and returns the same flow bit for bit.
+    """
+
+    def __init__(self, arc_dag: ArcDAG) -> None:
+        self.arc_dag = arc_dag
+        arcs = arc_dag.arcs
+        vertices = arc_dag.vertices
+        position = {v: i for i, v in enumerate(vertices)}
+        self._arc_ids = [arc.arc_id for arc in arcs]
+        self._arc_index = {arc_id: i for i, arc_id in enumerate(self._arc_ids)}
+        self._tails = [position[arc.tail] for arc in arcs]
+        self._heads = [position[arc.head] for arc in arcs]
+        self._num_vertices = len(vertices)
+
+        dinic = DinicMaxFlow()
+        for arc in arcs:
+            dinic.add_edge(arc.tail, arc.head, INFINITY)
+        self._return_arc = dinic.add_edge(arc_dag.sink, arc_dag.source, INFINITY)
+        for v in vertices:
+            dinic.add_edge(_SUPER_SOURCE, v, 0.0)
+            dinic.add_edge(v, _SUPER_SINK, 0.0)
+        self._dinic = dinic
+        # vertex i's super-source edge is handle _super_base + 2 i, its super-sink edge the next
+        self._super_base = self._return_arc + 1
+
+    def solve(self, lower_bounds: Mapping[str, float],
+              upper_bounds: Optional[Mapping[str, float]] = None) -> MinFlowResult:
+        """The minimum flow meeting ``lower_bounds`` (see :func:`min_flow_with_lower_bounds`)."""
+        lower: Dict[str, float] = {}
+        for arc_id, lb in lower_bounds.items():
+            check_non_negative(lb, f"lower bound for arc {arc_id}")
+            lower[arc_id] = lb
+
+        num_arcs = len(self._arc_ids)
+        capacities = [INFINITY] * (num_arcs + 1) + [0.0] * (2 * self._num_vertices)
+        excess = [0.0] * self._num_vertices
+        if upper_bounds:
+            arcs = range(num_arcs)
+        else:
+            # uncapacitated arcs without a lower bound change nothing below
+            arcs = sorted(self._arc_index[a] for a in lower if a in self._arc_index)
+        for i in arcs:
+            arc_id = self._arc_ids[i]
+            lb = lower.get(arc_id, 0.0)
+            ub = upper_bounds.get(arc_id, INFINITY) if upper_bounds else INFINITY
+            if ub < lb - 1e-12:
+                raise InfeasibleFlowError(
+                    f"arc {arc_id}: upper bound {ub} below lower bound {lb}")
+            if not math.isinf(ub):
+                capacities[i] = ub - lb
+            excess[self._heads[i]] += lb
+            excess[self._tails[i]] -= lb
+
+        demand_total = 0.0
+        for v, ex in enumerate(excess):
+            if ex > 1e-12:
+                capacities[self._super_base + 2 * v] = ex
+                demand_total += ex
+            elif ex < -1e-12:
+                capacities[self._super_base + 2 * v + 1] = -ex
+
+        dinic = self._dinic
+        dinic.reset(capacities)
+        pushed = dinic.max_flow(_SUPER_SOURCE, _SUPER_SINK)
+        if pushed + 1e-6 < demand_total:
+            raise InfeasibleFlowError(
+                f"lower bounds are infeasible: needed {demand_total}, satisfied {pushed}")
+
+        # Feasible flow value currently routed around the t -> s return arc.
+        feasible_value = dinic.flow_on(self._return_arc)
+
+        # Remove the return arc and cancel as much circulation as possible by
+        # pushing flow from t back to s in the residual network.
+        dinic.disable_edge(self._return_arc)
+        cancelled = dinic.max_flow(self.arc_dag.sink, self.arc_dag.source)
+
+        flow = {arc_id: lower.get(arc_id, 0.0) + extra
+                for arc_id, extra in zip(self._arc_ids, dinic.flows())}
+        return MinFlowResult(value=feasible_value - cancelled, flow=flow)
+
+
 def min_flow_with_lower_bounds(
     arc_dag: ArcDAG,
     lower_bounds: Mapping[str, float],
     upper_bounds: Optional[Mapping[str, float]] = None,
+    *,
+    network: Optional[MinFlowNetwork] = None,
 ) -> MinFlowResult:
     """Compute a minimum source-to-sink flow with per-arc lower bounds.
 
@@ -75,6 +178,10 @@ def min_flow_with_lower_bounds(
         bound 0.
     upper_bounds:
         Optional ``arc id -> capacity``; arcs not listed are uncapacitated.
+    network:
+        A :class:`MinFlowNetwork` already laid out for ``arc_dag``, for
+        callers that solve many lower-bound sets on one DAG; by default one
+        is built for this call.
 
     Returns
     -------
@@ -86,61 +193,10 @@ def min_flow_with_lower_bounds(
         If the lower/upper bounds admit no feasible flow (e.g. a lower bound
         exceeds an upper bound, or lower-bounded arcs cannot be routed).
     """
-    lower: Dict[str, float] = {}
-    for arc_id, lb in lower_bounds.items():
-        check_non_negative(lb, f"lower bound for arc {arc_id}")
-        lower[arc_id] = lb
-    upper: Dict[str, float] = dict(upper_bounds or {})
-
-    dinic = DinicMaxFlow()
-    s, t = arc_dag.source, arc_dag.sink
-    super_source = ("__minflow_super_source__",)
-    super_sink = ("__minflow_super_sink__",)
-
-    excess: Dict[Hashable, float] = {v: 0.0 for v in arc_dag.vertices}
-    handles: Dict[str, int] = {}
-    total_lower = 0.0
-    for arc in arc_dag.arcs:
-        lb = lower.get(arc.arc_id, 0.0)
-        ub = upper.get(arc.arc_id, INFINITY)
-        if ub < lb - 1e-12:
-            raise InfeasibleFlowError(
-                f"arc {arc.arc_id}: upper bound {ub} below lower bound {lb}")
-        cap = ub - lb if not math.isinf(ub) else INFINITY
-        handles[arc.arc_id] = dinic.add_edge(arc.tail, arc.head, cap)
-        excess[arc.head] = excess.get(arc.head, 0.0) + lb
-        excess[arc.tail] = excess.get(arc.tail, 0.0) - lb
-        total_lower += lb
-
-    return_arc = dinic.add_edge(t, s, INFINITY)
-
-    demand_total = 0.0
-    for v, ex in excess.items():
-        if ex > 1e-12:
-            dinic.add_edge(super_source, v, ex)
-            demand_total += ex
-        elif ex < -1e-12:
-            dinic.add_edge(v, super_sink, -ex)
-
-    pushed = dinic.max_flow(super_source, super_sink)
-    if pushed + 1e-6 < demand_total:
-        raise InfeasibleFlowError(
-            f"lower bounds are infeasible: needed {demand_total}, satisfied {pushed}")
-
-    # Feasible flow value currently routed around the t -> s return arc.
-    feasible_value = dinic.flow_on(return_arc)
-
-    # Remove the return arc and cancel as much circulation as possible by
-    # pushing flow from t back to s in the residual network.
-    dinic.disable_edge(return_arc)
-    cancelled = dinic.max_flow(t, s)
-
-    value = feasible_value - cancelled
-    flow: Dict[str, float] = {}
-    for arc in arc_dag.arcs:
-        lb = lower.get(arc.arc_id, 0.0)
-        flow[arc.arc_id] = lb + dinic.flow_on(handles[arc.arc_id])
-    return MinFlowResult(value=value, flow=flow)
+    if network is None:
+        network = MinFlowNetwork(arc_dag)
+    require(network.arc_dag is arc_dag, "the min-flow network was built for another arc DAG")
+    return network.solve(lower_bounds, upper_bounds)
 
 
 def allocation_min_budget(dag, allocation: Mapping[Hashable, float]) -> Tuple[float, Dict[Hashable, float]]:
