@@ -40,7 +40,7 @@ from repro.cluster.runners import RunnerAddress
 from repro.engine.core import Problem, SolveLimits
 from repro.engine.fingerprint import spec_alias_key
 from repro.engine.plan import build_sweep_plan
-from repro.engine.store import SolutionStore, report_to_payload
+from repro.engine.store import SolutionStore
 from repro.scenarios import ScenarioGrid, ScenarioSpec
 from repro.serve import PROTOCOL_VERSION, problem_to_payload
 from repro.utils.validation import ValidationError, require
@@ -431,11 +431,12 @@ class ClusterClient:
         answered: Dict[int, Dict[str, Any]] = {}
         for index, alias in enumerate(aliases):
             cell = cell_by_alias[alias]
-            if cell.report is None:
+            if cell.payload is None:
                 continue
+            # The stored report as it is -- the same value a runner's
+            # spliced line carries, never decoded into a SolveReport.
             line = {"index": index, "key": cell.key, "source": "store",
-                    "error": None,
-                    "report": report_to_payload(cell.report, cell.key),
+                    "error": None, "report": json.loads(cell.payload),
                     "cell": cell.digest, "runner": None}
             answered[index] = line
             self.stats.planned_local += 1

@@ -182,27 +182,28 @@ class _Inflight:
         return all(future.cancelled() for _, _, _, future in self.waiters)
 
     def resolve(self, report: Optional[SolveReport], source: str,
-                error: Optional[str], cache_tier: str = "",
-                key: Optional[str] = None) -> None:
+                error: Optional[str], key: Optional[str] = None, *,
+                payload: Optional[bytes] = None) -> None:
         """Deliver one outcome to every still-listening waiter.
 
         Each live waiter gets its own defensively-copied report (consumers
-        may edit allocations in place; deduplicated slots must not alias).
-        ``key`` overrides the recorded in-flight key in the delivered
-        results (spec entries: the worker-reported request fingerprint).
+        may edit allocations in place; deduplicated slots must not alias)
+        -- or, for a store hit, the stored report bytes ``payload``, which
+        each result decodes on its own when read.  ``key`` overrides the
+        recorded in-flight key in the delivered results (spec entries: the
+        worker-reported request fingerprint).
         """
         for index, problem, spec, future in self.waiters:
             if future.done():  # cancelled (or already failed) waiters
                 continue
             copy = None
             if report is not None:
-                copy = _clone_report(report, from_cache=bool(cache_tier),
-                                     cache_tier=cache_tier)
+                copy = _clone_report(report, from_cache=False)
             future.set_result(SweepResult(index=index,
                                           key=key if key is not None else self.key,
                                           problem=problem, report=copy,
                                           source=source, error=error,
-                                          spec=spec))
+                                          spec=spec, payload=payload))
 
 
 @dataclass
@@ -605,10 +606,13 @@ class AsyncSweepService:
         self.stats.batches += 1
         store = self.store
         futures: List[asyncio.Future] = []
-        # One store lookup per unique key per batch: duplicate slots of an
-        # already-persisted scenario reuse the fetched report instead of
-        # re-reading the shard from disk on the event loop.
-        fetched: Dict[str, Optional[SolveReport]] = {}
+        # One batched raw store read over the batch's unique keys that no
+        # in-flight solve or prewarmed entry answers: duplicate slots share
+        # the fetched bytes, and nothing is decoded on the event loop.
+        wanted = [key for key in dict.fromkeys(keys)
+                  if key not in self._inflight and key not in self._prewarmed_keys]
+        fetched: Dict[str, Tuple[Optional[str], Optional[bytes]]] = (
+            store.get_raw_many(wanted) if store is not None and wanted else {})
         for index, (key, problem) in enumerate(zip(keys, problems)):
             self.stats.requests += 1
             slot: asyncio.Future = loop.create_future()
@@ -628,20 +632,19 @@ class AsyncSweepService:
                         index=index, key=key, problem=problem,
                         report=report, source="memory"))
                     continue
-            if key in fetched:
-                report = fetched[key]
-            else:
-                report = store.get_report(key) if store is not None else None
-                fetched[key] = report
-            if report is not None:
+            if key not in fetched:
+                # In flight when the batch was read (since resolved), or a
+                # prewarmed entry the LRU has evicted: read it on its own.
+                fetched.update(store.get_raw_many([key]) if store is not None
+                               else {key: (None, None)})
+            payload = fetched[key][1]
+            if payload is not None:
                 self.stats.store_hits += 1
                 if key in self._manifest_tokens:
                     self.stats.resumed += 1
                 slot.set_result(SweepResult(
-                    index=index, key=key, problem=problem,
-                    report=_clone_report(report, from_cache=True,
-                                         cache_tier="store"),
-                    source="store"))
+                    index=index, key=key, problem=problem, report=None,
+                    source="store", payload=payload))
                 continue
             entry = _Inflight(key=key, problem=problem, method=method,
                               options=dict(options))
@@ -764,16 +767,14 @@ class AsyncSweepService:
                 self.stats.deduped += 1
                 entry_inflight.add_waiter(index, None, slot, spec=spec)
                 continue
-            if cell.report is not None:
+            if cell.payload is not None:
                 self.stats.store_hits += 1
                 if cell.status == CELL_MANIFEST_DONE:
                     self.stats.resumed += 1
                 self._record_manifest_cell(alias, cell.digest, cell.key or "")
                 slot.set_result(SweepResult(
-                    index=index, key=cell.key, problem=None,
-                    report=_clone_report(cell.report, from_cache=True,
-                                         cache_tier="store"),
-                    source="store", spec=spec))
+                    index=index, key=cell.key, problem=None, report=None,
+                    source="store", spec=spec, payload=cell.payload))
                 continue
             entry = _Inflight(key=inflight_key, problem=None, method=method,
                               options=dict(options), spec=spec, alias=alias)
@@ -838,7 +839,7 @@ class AsyncSweepService:
                 task.add_done_callback(self._shard_tasks.discard)
 
     def _resolve_from_store(self, entry: _Inflight, key: str,
-                            report: SolveReport) -> None:
+                            payload: bytes) -> None:
         """Answer one queued entry from a concurrently-written store row."""
         self.stats.store_hits += 1
         self.stats.dup_solves_avoided += 1
@@ -849,7 +850,7 @@ class AsyncSweepService:
             if entry.alias is not None:
                 self._record_manifest_cell(entry.alias,
                                            entry.spec.cell_digest(), key)
-        entry.resolve(report, "store", None, cache_tier="store", key=key)
+        entry.resolve(None, "store", None, key=key, payload=payload)
 
     async def _run_shard(self, entries: List[_Inflight]) -> None:
         """Solve one shard in the pool, persist, then resolve waiters.
@@ -875,12 +876,12 @@ class AsyncSweepService:
             if store is not None:
                 to_solve = []
                 contended: List[_Inflight] = []
-                recheck = store.get_reports_many([e.key for e in entries])
+                recheck = store.get_raw_many([e.key for e in entries])
                 for entry in entries:
-                    true_key, report = recheck.get(entry.key, (None, None))
-                    if report is not None:
+                    true_key, payload = recheck.get(entry.key, (None, None))
+                    if payload is not None:
                         self._resolve_from_store(entry, true_key or entry.key,
-                                                 report)
+                                                 payload)
                     elif store.claim_solve(entry.key):
                         claimed.append(entry.key)
                         to_solve.append(entry)
@@ -893,13 +894,12 @@ class AsyncSweepService:
                                    for e in contended)):
                         await asyncio.sleep(_CLAIM_POLL_SECONDS)
                         waited += _CLAIM_POLL_SECONDS
-                    recheck = store.get_reports_many(
-                        [e.key for e in contended])
+                    recheck = store.get_raw_many([e.key for e in contended])
                     for entry in contended:
-                        true_key, report = recheck.get(entry.key, (None, None))
-                        if report is not None:
+                        true_key, payload = recheck.get(entry.key, (None, None))
+                        if payload is not None:
                             self._resolve_from_store(
-                                entry, true_key or entry.key, report)
+                                entry, true_key or entry.key, payload)
                         else:
                             # Claimant died or overran the wait: solve it
                             # ourselves (correct, just not deduplicated).

@@ -8,8 +8,9 @@ This module is the planning tier that replaces both:
 * :func:`build_sweep_plan` takes a sweep's unique cells (``(alias,
   spec)`` pairs -- the pre-materialization dedup the services already
   perform) and classifies **every** cell in one batched store pass
-  (:meth:`SolutionStore.get_reports_many
-  <repro.engine.store.SolutionStore.get_reports_many>`) into
+  (:meth:`SolutionStore.get_raw_many
+  <repro.engine.store.SolutionStore.get_raw_many>`, which hands over
+  the stored report bytes without decoding them) into
 
   - ``store-hit`` -- the request fingerprint was memoized in-process and
     the store holds the report;
@@ -44,6 +45,7 @@ from repro.engine.fingerprint import (
     cached_spec_fingerprint,
     record_spec_fingerprint,
 )
+from repro.engine.store import report_from_bytes
 
 __all__ = [
     "CELL_ALIAS_HIT",
@@ -77,13 +79,22 @@ class PlannedCell:
     status: str
     #: Resolved request fingerprint (``None`` for never-seen cells).
     key: Optional[str] = None
-    #: The store's report for done cells (``None`` when pending).
-    report: Any = None
+    #: The store's report bytes for done cells (``None`` when pending), as
+    #: :meth:`~repro.engine.store.SolutionStore.get_raw_many` returns them.
+    payload: Optional[bytes] = field(default=None, repr=False)
+    _report: Any = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def done(self) -> bool:
         """Answered without solving (any non-pending status)."""
         return self.status != CELL_PENDING
+
+    @property
+    def report(self) -> Any:
+        """The stored report, decoded from :attr:`payload` on first access."""
+        if self._report is None and self.payload is not None:
+            self._report = report_from_bytes(self.payload)
+        return self._report
 
 
 @dataclass
@@ -92,7 +103,7 @@ class SweepPlan:
 
     ``cells`` holds one :class:`PlannedCell` per unique alias in
     submission order.  The plan is *advice plus evidence*: the services
-    yield the carried reports for done cells and shard only
+    hand over the carried report bytes for done cells and shard only
     :attr:`pending`; the cluster router ships only :attr:`pending` over
     the wire.
     """
@@ -224,18 +235,18 @@ def build_sweep_plan(cells: Sequence[Tuple[str, Any]], method: str = "auto", *,
         # target inside the store, still batched per shard).
         probes = [cell.key if cell.key is not None else cell.alias
                   for cell in planned]
-        resolved = store.get_reports_many(probes)
+        resolved = store.get_raw_many(probes)
         for cell, probe in zip(planned, probes):
-            true_key, report = resolved.get(probe, (None, None))
+            true_key, payload = resolved.get(probe, (None, None))
             via_alias = cell.key is None and true_key is not None
             if via_alias:
                 cell.key = true_key
                 record_spec_fingerprint(cell.spec, true_key, method,
                                         limits=limits, validate=validate,
                                         **options)
-            if report is None:
+            if payload is None:
                 continue
-            cell.report = report
+            cell.payload = payload
             if marked and not marked.isdisjoint(
                     (cell.alias, cell.digest, cell.key or "")):
                 cell.status = CELL_MANIFEST_DONE

@@ -81,7 +81,7 @@ from repro.engine.plan import (
     recommend_shard_size,
 )
 from repro.engine.portfolio import Portfolio
-from repro.engine.store import SolutionStore, atomic_write_json
+from repro.engine.store import SolutionStore, atomic_write_json, report_from_bytes
 from repro.scenarios import ScenarioGrid, ScenarioSpec
 from repro.utils.validation import require
 
@@ -239,6 +239,13 @@ class SweepResult:
     ``source`` is ``"store"`` (answered from the persistent store),
     ``"computed"`` (solved this sweep) or ``"failed"``.
 
+    A store hit carries the report's stored bytes in ``payload``
+    (:meth:`~repro.engine.store.SolutionStore.get_raw_many`) and decodes
+    ``report`` from them only when it is first read -- a fresh
+    ``SolveReport`` per slot, marked ``from_cache=True`` /
+    ``cache_tier="store"``.  A server splices the bytes into its response
+    line and never decodes them at all.
+
     Spec-native sweeps fill ``spec`` instead of ``problem``: a store-hit
     cell was never materialized, so there is no problem object to carry
     (``key`` is still the true request fingerprint -- the one the
@@ -254,6 +261,25 @@ class SweepResult:
     error: Optional[str] = None
     #: The declarative cell this result answers (spec-native sweeps only).
     spec: Optional[ScenarioSpec] = None
+    #: The stored report bytes of a store hit (``None`` otherwise).
+    payload: Optional[bytes] = field(default=None, repr=False)
+
+
+def _result_report(result: SweepResult) -> Optional[SolveReport]:
+    report = result.__dict__.get("_report")
+    if report is None and result.payload is not None:
+        report = report_from_bytes(result.payload, cache_tier="store")
+        result.__dict__["_report"] = report
+    return report
+
+
+def _set_result_report(result: SweepResult, report: Optional[SolveReport]) -> None:
+    result.__dict__["_report"] = report
+
+
+# ``report`` is a dataclass field (a constructor argument) backed by this
+# property, so a store hit's bytes are decoded only when someone reads it.
+SweepResult.report = property(_result_report, _set_result_report)  # type: ignore[assignment]
 
 
 @dataclass
@@ -526,12 +552,12 @@ class SweepService:
 
         # -- tier-2 lookup (one batched store pass) ---------------------
         pending: List[str] = []
-        found = (store.get_reports_many(unique_keys)
+        found = (store.get_raw_many(unique_keys)
                  if store is not None else {})
         try:
             for key in unique_keys:
-                _resolved, report = found.get(key, (None, None))
-                if report is None:
+                _resolved, payload = found.get(key, (None, None))
+                if payload is None:
                     pending.append(key)
                     continue
                 stats.store_hits += 1
@@ -539,13 +565,9 @@ class SweepService:
                     stats.resumed += 1
                 done.add(key)
                 for index in groups[key]:
-                    # Each slot gets its own defensive copy (consumers may
-                    # edit allocations in place; duplicates must not alias).
                     yield SweepResult(index=index, key=key,
-                                      problem=problems[index],
-                                      report=_clone_report(report, from_cache=True,
-                                                           cache_tier="store"),
-                                      source="store")
+                                      problem=problems[index], report=None,
+                                      source="store", payload=payload)
 
             # -- shard + compute ------------------------------------------
             if pending:
@@ -673,10 +695,8 @@ class SweepService:
                                           "key": cell.key or ""}
                 for index in groups[cell.alias]:
                     yield SweepResult(index=index, key=cell.key, problem=None,
-                                      report=_clone_report(cell.report,
-                                                           from_cache=True,
-                                                           cache_tier="store"),
-                                      source="store", spec=specs[index])
+                                      report=None, source="store",
+                                      spec=specs[index], payload=cell.payload)
 
             pending = [cell.alias for cell in plan.pending]
 
@@ -690,14 +710,14 @@ class SweepService:
                 claimed = [alias for alias in pending
                            if alias not in contended]
                 if contended:
-                    recheck = store.get_reports_many(list(contended))
+                    recheck = store.get_raw_many(list(contended))
                     still_pending: List[str] = []
                     for alias in pending:
                         if alias not in contended:
                             still_pending.append(alias)
                             continue
-                        true_key, report = recheck.get(alias, (None, None))
-                        if report is None:
+                        true_key, payload = recheck.get(alias, (None, None))
+                        if payload is None:
                             # Claimant still running (or died mid-solve):
                             # solving it ourselves stays correct, just not
                             # deduplicated.
@@ -717,10 +737,8 @@ class SweepService:
                         for index in groups[alias]:
                             yield SweepResult(
                                 index=index, key=true_key or alias,
-                                problem=None,
-                                report=_clone_report(report, from_cache=True,
-                                                     cache_tier="store"),
-                                source="store", spec=specs[index])
+                                problem=None, report=None, source="store",
+                                spec=specs[index], payload=payload)
                     pending = still_pending
 
             if pending:

@@ -105,6 +105,7 @@ __all__ = [
     "SolutionStore",
     "report_to_payload",
     "report_from_payload",
+    "report_from_bytes",
     "atomic_write_json",
 ]
 
@@ -192,18 +193,82 @@ def _pack_shard(entries: Dict[str, Dict[str, Any]]) -> bytes:
     return b"".join(parts + blobs)
 
 
+class _Found:
+    """One entry a store lookup found: exactly one of its three forms.
+
+    ``alias_of`` is an alias entry's target key.  ``blob`` is a packed
+    payload's bytes, already decoded once to check them; ``spliceable``
+    says whether those bytes are a report that may go on the wire
+    verbatim (see :func:`_spliceable`).  ``entry`` is a payload dict of a
+    shard held decoded in memory (``__seq__`` included).
+    """
+
+    __slots__ = ("alias_of", "blob", "spliceable", "entry")
+
+    def __init__(self, *, alias_of: Optional[str] = None,
+                 blob: Optional[bytes] = None, spliceable: bool = False,
+                 entry: Optional[Dict[str, Any]] = None):
+        self.alias_of = alias_of
+        self.blob = blob
+        self.spliceable = spliceable
+        self.entry = entry
+
+    def payload(self) -> Dict[str, Any]:
+        """The entry as the payload dict :meth:`SolutionStore.get` returns."""
+        if self.alias_of is not None:
+            return {"alias_of": self.alias_of}
+        if self.blob is not None:
+            return json.loads(self.blob)
+        return {k: v for k, v in self.entry.items() if k != "__seq__"}
+
+
+def _found_entry(entry: Optional[Dict[str, Any]]) -> Optional[_Found]:
+    """A decoded shard entry (``__seq__`` included) as a lookup result."""
+    if entry is None:
+        return None
+    target = entry.get("alias_of")
+    if isinstance(target, str) and len(entry) - ("__seq__" in entry) == 1:
+        return _Found(alias_of=target)
+    return _Found(entry=entry)
+
+
+#: What a report payload that does not decode raises (a miss, never a crash).
+_REPORT_DECODE_ERRORS = (KeyError, TypeError, ValueError, SyntaxError,
+                         AttributeError)
+
+
+def _spliceable(key: str, blob: bytes, payload: Dict[str, Any]) -> bool:
+    """May ``blob`` (decoded: ``payload``) be served verbatim as the report
+    stored under ``key``?
+
+    It must decode to a report, carry its own storage key, and contain no
+    newline byte -- the wire is line-framed, so the bytes become part of
+    one response line as they are.
+    """
+    if b"\n" in blob or payload.get("key") != key:
+        return False
+    try:
+        report_from_payload(payload)
+    except _REPORT_DECODE_ERRORS:
+        return False
+    return True
+
+
 class _PackedShardReader:
     """Lazy, mmap-backed view of one packed binary shard.
 
     Parses only the 28-byte header eagerly; key lookups binary-search the
     fixed-width record table directly on the mapped buffer and payloads
-    are decoded one at a time, on demand (memoized per key).  Every offset
-    is bounds-checked -- a mangled file raises :class:`_ShardCorrupt`
-    (whole-file distrust) which the store decays to "empty shard".
+    are decoded one at a time, on demand.  The first lookup of a key
+    checks its payload and memoizes the result (``found``: the validated
+    bytes, never a decoded dict), so each payload is decoded once per
+    open reader.  Every offset is bounds-checked -- a mangled file raises
+    :class:`_ShardCorrupt` (whole-file distrust) which the store decays
+    to "empty shard".
     """
 
     __slots__ = ("path", "buf", "count", "key_width", "payload_offset",
-                 "_record_size", "_records_off", "decoded")
+                 "_record_size", "_records_off", "found")
 
     def __init__(self, path: str):
         self.path = path
@@ -232,7 +297,7 @@ class _PackedShardReader:
                 or self._records_off + self._record_size * count > payload_offset
                 or payload_offset > len(self.buf)):
             raise _ShardCorrupt("record table out of bounds")
-        self.decoded: Dict[str, Dict[str, Any]] = {}
+        self.found: Dict[str, _Found] = {}
 
     # -- record access ---------------------------------------------------
     def _key_bytes_at(self, index: int) -> bytes:
@@ -567,6 +632,18 @@ def report_from_payload(payload: Dict[str, Any]):
         certificate=certificate,
         parameter=payload.get("parameter"),
     )
+
+
+def report_from_bytes(blob: bytes, *, cache_tier: str = ""):
+    """Decode stored report bytes (:meth:`SolutionStore.get_raw_many`).
+
+    With ``cache_tier`` the report is marked as a hit of that cache tier
+    (``from_cache=True``).  Every call builds a fresh ``SolveReport``.
+    """
+    report = report_from_payload(json.loads(blob))
+    if cache_tier:
+        report.from_cache, report.cache_tier = True, cache_tier
+    return report
 
 
 class SolutionStore:
@@ -1047,73 +1124,158 @@ class SolutionStore:
     # ------------------------------------------------------------------
     # public API
     # ------------------------------------------------------------------
-    def _lookup(self, key: str) -> Optional[Dict[str, Any]]:
-        """The entry for ``key`` (``__seq__`` included), or ``None``.
+    def _find(self, shard_id: str, key: str) -> Optional[_Found]:
+        """One lookup of ``key``, trusting whatever shard state is cached.
+
+        The fast path: an open packed reader answers from its record
+        table -- a binary search plus, the first time, one payload decode
+        (none for alias entries) -- without a single ``stat``.  A shard
+        held decoded in memory answers from its dict; any other shard is
+        opened (packed) or fully decoded (JSON or mixed) first.
+        """
+        if self.cache_shards and shard_id in self._shards:
+            return _found_entry(self._shards[shard_id].get(key))
+        reader = self._readers.get(shard_id)
+        if reader is None:
+            if self._shard_files(shard_id) != (False, True):
+                return _found_entry(self._load_shard(shard_id).get(key))
+            reader = self._reader(shard_id)
+            if reader is None:
+                return None
+        found = reader.found.get(key)
+        if found is not None:
+            return found
+        index = reader.find(key)
+        if index is None:
+            return None
+        try:
+            _key, _seq, offset, length, flags = reader.record(index)
+            blob = reader.blob(offset, length)
+            if flags & _FLAG_ALIAS:
+                found = _Found(alias_of=blob.decode("utf-8"))
+                self.alias_fast_hits += 1
+            else:
+                payload = json.loads(blob)
+                self.payload_decodes += 1
+                if not isinstance(payload, dict):
+                    raise ValueError("payload is not an object")
+                found = _Found(blob=blob,
+                               spliceable=_spliceable(key, blob, payload))
+        except (_ShardCorrupt, struct.error, UnicodeDecodeError,
+                json.JSONDecodeError, ValueError):
+            self.corrupt_shards += 1
+            return None
+        reader.found[key] = found
+        return found
+
+    def _find_many(self, keys, *, batched: bool) -> Dict[str, Optional[_Found]]:
+        """The store's one lookup pass: ``{key: found-or-None}``.
 
         A miss against *cached* shard state is revalidated against the
         on-disk signature before it is believed: when another process
         sharing the root rewrote the shard since we cached it, the shard
-        is reloaded and the lookup retried once
-        (``stale_shard_reloads``).  Hits are served straight from the
-        cache -- entries are immutable once written, so a cached hit can
-        never be wrong, and the hot path stays stat-free.
+        is reloaded and the lookup retried (``stale_shard_reloads``).
+        That check runs once per *shard*, on its first miss -- later
+        misses in the same shard trust the now fresh cache.  Hits are
+        served straight from the cache: entries are immutable once
+        written, so a cached hit can never be wrong, and the hot path
+        stays stat-free.  Duplicate keys are resolved once; ``batched``
+        lookups are also counted in ``batched_lookups``.
         """
-        shard_id = self._shard_id(key)
-        entry = self._lookup_once(shard_id, key)
-        if entry is not None or not self.cache_shards:
-            return entry
-        recorded = self._shard_sigs.get(shard_id)
-        if recorded is None:
-            # Nothing cached for this shard -- the miss came straight
-            # from disk and is genuine.
-            return None
-        if self._shard_signature(shard_id) == recorded:
-            return None
-        self._invalidate_shard(shard_id)
-        entry = self._lookup_once(shard_id, key)
-        if entry is not None:
-            self.stale_shard_reloads += 1
-        return entry
+        results: Dict[str, Optional[_Found]] = {}
+        with self._lock:
+            by_shard: Dict[str, List[str]] = {}
+            for key in keys:
+                if key not in results:
+                    results[key] = None
+                    by_shard.setdefault(self._shard_id(key), []).append(key)
+            for shard_id, shard_keys in by_shard.items():
+                revalidated = not self.cache_shards
+                for key in shard_keys:
+                    found = self._find(shard_id, key)
+                    if found is None and not revalidated:
+                        revalidated = True
+                        recorded = self._shard_sigs.get(shard_id)
+                        if recorded is not None and \
+                                self._shard_signature(shard_id) != recorded:
+                            self._invalidate_shard(shard_id)
+                            found = self._find(shard_id, key)
+                            if found is not None:
+                                self.stale_shard_reloads += 1
+                    if batched:
+                        self.batched_lookups += 1
+                    if found is None:
+                        self.misses += 1
+                    else:
+                        self.hits += 1
+                        results[key] = found
+        return results
 
-    def _lookup_once(self, shard_id: str, key: str) -> Optional[Dict[str, Any]]:
-        """One lookup pass, trusting whatever shard state is cached.
+    def _report_bytes(self, key: str, found: _Found) -> Optional[bytes]:
+        """The validated report bytes of an entry stored under ``key``, or
+        ``None`` (counted in ``corrupt_shards``) when it is no report.
 
-        The fast path: a pure-binary shard resolves through the packed
-        record table -- a binary search plus at most one payload decode
-        (none at all for alias entries).  JSON or mixed shards fall back
-        to the full decode they always required.
+        A shard held decoded in memory yields the bytes a packed write
+        would store (:func:`_pack_shard`'s encoding) and is checked on
+        every read; a packed payload was checked once, when its reader
+        first served it.
         """
-        if self.cache_shards and shard_id in self._shards:
-            return self._shards[shard_id].get(key)
-        has_json, has_binary = self._shard_files(shard_id)
-        if has_binary and not has_json:
-            reader = self._reader(shard_id)
-            if reader is None:
-                return None
-            cached = reader.decoded.get(key)
-            if cached is not None:
-                return cached
-            index = reader.find(key)
-            if index is None:
-                return None
-            decoded = self._decode_record(reader, index)
-            if decoded is None:
-                return None
-            if decoded[1].keys() == {"alias_of", "__seq__"}:
-                self.alias_fast_hits += 1
-            reader.decoded[key] = decoded[1]
-            return decoded[1]
-        return self._load_shard(shard_id).get(key)
+        blob, spliceable = found.blob, found.spliceable
+        if found.entry is not None:
+            payload = {k: v for k, v in found.entry.items() if k != "__seq__"}
+            try:
+                blob = json.dumps(payload, sort_keys=True,
+                                  separators=(",", ":")).encode("utf-8")
+                spliceable = _spliceable(key, blob, payload)
+            except (TypeError, ValueError):
+                spliceable = False
+        if not spliceable:
+            with self._lock:
+                self.corrupt_shards += 1
+            return None
+        return blob
+
+    def _raw_many(self, keys, *, batched: bool
+                  ) -> Dict[str, Tuple[Optional[str], Optional[bytes]]]:
+        """:meth:`get_raw_many`, with ``batched`` as in :meth:`_find_many`."""
+        found = self._find_many(keys, batched=batched)
+        targets = {key: hit.alias_of for key, hit in found.items()
+                   if hit is not None and hit.alias_of is not None}
+        resolved = (self._find_many(set(targets.values()), batched=batched)
+                    if targets else {})
+        results: Dict[str, Tuple[Optional[str], Optional[bytes]]] = {}
+        for key, hit in found.items():
+            true_key = targets.get(key, key)
+            if key in targets:
+                hit = resolved.get(true_key)
+            if hit is None:
+                results[key] = (targets.get(key), None)
+            else:
+                results[key] = (true_key, self._report_bytes(true_key, hit))
+        return results
+
+    def get_raw_many(self, keys) -> Dict[str, Tuple[Optional[str], Optional[bytes]]]:
+        """Batched report read that never decodes a report: the hot path.
+
+        Returns ``{key: (resolved_key, blob)}`` for every requested key:
+        ``resolved_key`` is the fingerprint the report lives under (the
+        alias target when the entry was a spec-alias, followed in the
+        same batched pass), and ``blob`` is the report's stored JSON
+        bytes, or ``None`` on a miss (including an alias whose target has
+        been lost).  The bytes are validated before they are returned --
+        they decode to a report, carry their own key and contain no
+        newline -- so a server may splice them into a response line
+        as they are; a payload failing that is counted in
+        ``corrupt_shards`` and reads as a miss, so the cell recomputes.
+        Every key (alias targets included) counts in ``batched_lookups``
+        and in the hit/miss counters, and each shard pays one pass.
+        """
+        return self._raw_many(keys, batched=True)
 
     def get(self, key: str) -> Optional[Dict[str, Any]]:
         """The stored payload for ``key``, or ``None`` (counted as a miss)."""
-        with self._lock:
-            entry = self._lookup(key)
-            if entry is None:
-                self.misses += 1
-                return None
-            self.hits += 1
-            return {k: v for k, v in entry.items() if k != "__seq__"}
+        found = self._find_many([key], batched=False)[key]
+        return None if found is None else found.payload()
 
     def get_many(self, keys) -> Dict[str, Optional[Dict[str, Any]]]:
         """Batched :meth:`get`: one shard resolution per distinct shard.
@@ -1125,72 +1287,18 @@ class SolutionStore:
         keys are resolved once.  Returns ``{key: payload-or-None}`` with
         the same hit/miss accounting as :meth:`get`.
         """
-        results: Dict[str, Optional[Dict[str, Any]]] = {}
-        with self._lock:
-            by_shard: Dict[str, List[str]] = {}
-            for key in keys:
-                if key not in results:
-                    results[key] = None
-                    by_shard.setdefault(self._shard_id(key), []).append(key)
-            for shard_id, shard_keys in by_shard.items():
-                revalidated = not self.cache_shards
-                for key in shard_keys:
-                    entry = self._lookup_once(shard_id, key)
-                    if entry is None and not revalidated:
-                        # One signature check per shard: the first miss
-                        # revalidates against disk; later misses in the
-                        # same shard trust the (now fresh) cache.
-                        revalidated = True
-                        recorded = self._shard_sigs.get(shard_id)
-                        if recorded is not None and \
-                                self._shard_signature(shard_id) != recorded:
-                            self._invalidate_shard(shard_id)
-                            entry = self._lookup_once(shard_id, key)
-                            if entry is not None:
-                                self.stale_shard_reloads += 1
-                    self.batched_lookups += 1
-                    if entry is None:
-                        self.misses += 1
-                    else:
-                        self.hits += 1
-                        results[key] = {k: v for k, v in entry.items()
-                                        if k != "__seq__"}
-        return results
+        return {key: None if found is None else found.payload()
+                for key, found in self._find_many(keys, batched=True).items()}
 
     def get_reports_many(self, keys):
         """Batched report fetch following alias indirection.
 
-        Returns ``{key: (resolved_key, report)}`` for every requested
-        key: ``resolved_key`` is the fingerprint the report lives under
-        (the alias target when the entry was a spec-alias), and
-        ``report`` is the decoded :class:`SolveReport` or ``None`` on a
-        miss (including an alias whose target has been lost).  Both
-        levels resolve through :meth:`get_many`, so a whole sweep plan
-        costs one pass over each touched shard.
+        Returns ``{key: (resolved_key, report)}``: :meth:`get_raw_many`
+        with each report decoded into a :class:`SolveReport` (``None`` on
+        a miss).
         """
-        entries = self.get_many(keys)
-        targets: Dict[str, str] = {}
-        for key, entry in entries.items():
-            if entry is not None and isinstance(entry.get("alias_of"), str):
-                targets[key] = entry["alias_of"]
-        resolved = self.get_many(set(targets.values())) if targets else {}
-        results = {}
-        for key, entry in entries.items():
-            if key in targets:
-                true_key = targets[key]
-                payload = resolved.get(true_key)
-            else:
-                true_key, payload = key, entry
-            if payload is None:
-                results[key] = (true_key if key in targets else None, None)
-                continue
-            try:
-                results[key] = (true_key, report_from_payload(payload))
-            except (KeyError, TypeError, ValueError, SyntaxError):
-                with self._lock:
-                    self.corrupt_shards += 1
-                results[key] = (true_key, None)
-        return results
+        return {key: (true_key, None if blob is None else report_from_bytes(blob))
+                for key, (true_key, blob) in self.get_raw_many(keys).items()}
 
     def put(self, key: str, payload: Dict[str, Any]) -> bool:
         """Persist ``payload`` under ``key`` (atomic); returns ``True``.
@@ -1313,15 +1421,8 @@ class SolutionStore:
         A payload that no longer decodes (e.g. hand-edited) counts as
         corruption and returns ``None`` -- the caller recomputes.
         """
-        payload = self.get(key)
-        if payload is None:
-            return None
-        try:
-            return report_from_payload(payload)
-        except (KeyError, TypeError, ValueError, SyntaxError):
-            with self._lock:
-                self.corrupt_shards += 1
-            return None
+        _true_key, blob = self._raw_many([key], batched=False)[key]
+        return None if blob is None else report_from_bytes(blob)
 
     # ------------------------------------------------------------------
     # solve claims (cross-runner duplicate-compute guard)
@@ -1546,8 +1647,7 @@ class SolutionStore:
                     "failed": failed}
 
     def __contains__(self, key: str) -> bool:
-        with self._lock:
-            return self._lookup(key) is not None
+        return self._find_many([key], batched=False)[key] is not None
 
     def __len__(self) -> int:
         return self.entry_count()

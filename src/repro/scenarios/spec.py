@@ -184,9 +184,14 @@ class ScenarioSpec:
         Two specs describing the same cell share this digest in every
         process; it keys the pre-materialization dedup and the
         spec-to-request-key aliases (see
-        :func:`repro.engine.fingerprint.spec_alias_key`).
+        :func:`repro.engine.fingerprint.spec_alias_key`).  Computed once
+        per spec object: a spec is frozen, so its digest cannot change.
         """
-        return hashlib.sha256(self.canonical_json().encode()).hexdigest()
+        digest = self.__dict__.get("_cell_digest")
+        if digest is None:
+            digest = hashlib.sha256(self.canonical_json().encode()).hexdigest()
+            object.__setattr__(self, "_cell_digest", digest)
+        return digest
 
     # ------------------------------------------------------------------
     # materialization (the only place a DAG is built)

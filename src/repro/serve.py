@@ -56,7 +56,9 @@ view, and decoding rebuilds an equivalent
 to the same :func:`~repro.engine.fingerprint.dag_fingerprint`, so wire
 clients share cache entries with in-process callers.  Reports on the wire
 use the same stable encoding as the persistent store
-(:func:`~repro.engine.store.report_to_payload`).
+(:func:`~repro.engine.store.report_to_payload`): a store hit's report is
+the stored bytes themselves, spliced into its line, and the lines a sweep
+has already resolved when it is relayed leave in one socket write.
 
 ``sweep_spec`` is the **spec-native** request: instead of materialized
 problem payloads the client ships a declarative
@@ -211,6 +213,28 @@ def _normalize(problem: Problem) -> Problem:
 # the server
 # ---------------------------------------------------------------------------
 
+def _encode_line(message: Dict[str, Any]) -> bytes:
+    """One response line: sorted keys, newline-terminated."""
+    return json.dumps(message, sort_keys=True).encode() + b"\n"
+
+
+def _splice_report(fields: Dict[str, Any], report: bytes) -> bytes:
+    """:func:`_encode_line` of ``fields`` plus ``"report"``, with the
+    report's stored JSON bytes spliced in as they are.
+
+    The store validated ``report`` before handing it over: it is a report
+    stored under this line's key, with no newline byte to break the line
+    framing.  Only the whitespace inside the report differs from
+    :func:`_encode_line` of the same value.
+    """
+    before = {k: v for k, v in fields.items() if k < "report"}
+    after = {k: v for k, v in fields.items() if k > "report"}
+    members = [json.dumps(before, sort_keys=True)[1:-1].encode(),
+               b'"report": ' + report,
+               json.dumps(after, sort_keys=True)[1:-1].encode()]
+    return b"{" + b", ".join(m for m in members if m) + b"}\n"
+
+
 @dataclass
 class ServerStats:
     """Wire-level counters of one :class:`SweepServer` lifetime.
@@ -237,6 +261,15 @@ class ServerStats:
     #: Connections aborted because the client stalled reading past
     #: ``drain_timeout`` while the server had responses to flush.
     slow_reader_drops: int = 0
+    #: Per-slot lines whose report is a store hit's stored bytes, spliced
+    #: in as they are (never decoded or encoded again).
+    reports_spliced: int = 0
+    #: Per-slot lines whose report was encoded from a ``SolveReport``
+    #: (computed and memory-tier answers).
+    reports_encoded: int = 0
+    #: Socket writes (``writer.write`` calls): one per all-hit sweep, since
+    #: the lines already resolved when a sweep is relayed leave together.
+    writes: int = 0
 
 
 class SweepServer:
@@ -418,15 +451,19 @@ class SweepServer:
         write_lock = asyncio.Lock()
         alive = True
 
-        async def send(obj: Dict[str, Any]) -> None:
+        async def send(message: Union[Dict[str, Any], bytes]) -> None:
+            """Write one response object, or ready-encoded response lines."""
             nonlocal alive
             if not alive:
                 return  # dropped/dead connection; results stay persisted
+            if not isinstance(message, bytes):
+                message = _encode_line(message)
             async with write_lock:
                 if not alive:
                     return
                 try:
-                    writer.write(json.dumps(obj, sort_keys=True).encode() + b"\n")
+                    writer.write(message)
+                    self.stats.writes += 1
                     if self.drain_timeout is not None:
                         await asyncio.wait_for(writer.drain(),
                                                self.drain_timeout)
@@ -524,29 +561,45 @@ class SweepServer:
 
     async def _relay_ticket(self, request_id: Any, ticket, send,
                             extra_fields=None) -> None:
-        """Stream one line per slot future as it resolves, then ``done``.
+        """Send one line per slot as it resolves, then ``done``.
 
         The single owner of the per-slot response shape for every sweep
         flavour; ``extra_fields(index) -> dict`` contributes
-        flavour-specific fields (the spec path's ``"cell"`` digest).
+        flavour-specific fields (the spec path's ``"cell"`` digest).  The
+        lines of every slot already resolved leave in one write -- with
+        the ``done`` line when no slot is left, so an all-hit sweep costs
+        one write -- and slots still computing follow one line each.
         """
-        async def relay(index: int, future: "asyncio.Future") -> None:
-            result = await future
+        def line(index: int, result) -> bytes:
+            fields = {"id": request_id, "index": index, "key": result.key,
+                      "source": result.source, "error": result.error}
+            if extra_fields is not None:
+                fields.update(extra_fields(index))
+            if result.payload is not None:
+                self.stats.reports_spliced += 1
+                return _splice_report(fields, result.payload)
             report = None
             if result.report is not None:
+                self.stats.reports_encoded += 1
                 report = report_to_payload(result.report, result.key)
-            line = {"id": request_id, "index": index, "key": result.key,
-                    "source": result.source, "error": result.error,
-                    "report": report}
-            if extra_fields is not None:
-                line.update(extra_fields(index))
-            await send(line)
+            return _encode_line({**fields, "report": report})
 
-        await asyncio.gather(*[relay(i, f)
-                               for i, f in enumerate(ticket.futures)])
-        await send({"id": request_id, "done": True,
-                    "count": len(ticket.futures),
-                    "protocol": PROTOCOL_VERSION})
+        async def relay(index: int, future: "asyncio.Future") -> None:
+            await send(line(index, await future))
+
+        done = _encode_line({"id": request_id, "done": True,
+                             "count": len(ticket.futures),
+                             "protocol": PROTOCOL_VERSION})
+        waiting = [(i, f) for i, f in enumerate(ticket.futures) if not f.done()]
+        ready = [line(i, f.result()) for i, f in enumerate(ticket.futures)
+                 if f.done()]
+        if not waiting:
+            ready.append(done)
+        if ready:
+            await send(b"".join(ready))
+        if waiting:
+            await asyncio.gather(*[relay(i, f) for i, f in waiting])
+            await send(done)
 
     async def _serve_sweep(self, request_id: Any, request: Dict[str, Any],
                            send) -> None:

@@ -303,6 +303,108 @@ class TestLazyDecode:
 
 
 # ---------------------------------------------------------------------------
+# the raw report read (get_raw_many): bytes that need no re-encode
+# ---------------------------------------------------------------------------
+
+def _seed_reports(store: SolutionStore):
+    """Two reports (one LP-solved, whose solution drops metadata) plus an
+    alias; returns ``(report keys, alias key)``."""
+    keys = []
+    for budget, method in ((2.0, "auto"), (3.0, "bicriteria-lp")):
+        problem = _problem(budget)
+        key = request_key(problem, method)
+        assert store.put_report(key, solve(problem, method, use_cache=False))
+        keys.append(key)
+    alias = _key("ff", 1)
+    store.put(alias, {"alias_of": keys[1]})
+    return keys, alias
+
+
+def _layout(tmp_path, layout: str):
+    """A store whose report shards are packed, JSON or mixed."""
+    root = str(tmp_path / "s")
+    keys, alias = _seed_reports(SolutionStore(
+        root, shard_format="binary" if layout == "packed" else "json"))
+    if layout == "mixed":
+        # Both formats on disk for every report shard (a crash between a
+        # format-converting rewrite and the old file's unlink).
+        for key in keys:
+            blob = open(_shard_path(SolutionStore(root), key[:2], "json"), "rb").read()
+            SolutionStore(root).put(key[:2] + "0" * 62, {"v": 0})
+            with open(_shard_path(SolutionStore(root), key[:2], "json"), "wb") as handle:
+                handle.write(blob)
+    return SolutionStore(root), keys, alias
+
+
+class TestRawRead:
+    @pytest.mark.parametrize("layout", ["packed", "json", "mixed"])
+    def test_raw_bytes_equal_the_decode_encode_round_trip(self, tmp_path, layout):
+        from repro.engine.store import report_from_payload, report_to_payload
+
+        store, keys, alias = _layout(tmp_path, layout)
+        raw = store.get_raw_many(keys + [alias, _key("ee", 1)])
+        assert raw[_key("ee", 1)] == (None, None)
+        assert raw[alias] == raw[keys[1]]
+        for key in keys:
+            true_key, blob = raw[key]
+            assert true_key == key and b"\n" not in blob
+            stored = json.loads(blob)
+            recoded = report_to_payload(report_from_payload(stored), key)
+            # The round trip recomputes what the solution dropped; the
+            # stored bytes keep it -- exactly what the cold answer said.
+            recoded["solution"]["dropped_metadata"] = \
+                stored["solution"]["dropped_metadata"]
+            assert stored == recoded
+            assert store.get_report(key).makespan == \
+                store.get_reports_many([key])[key][1].makespan
+        assert json.loads(raw[keys[1]][1])["solution"]["dropped_metadata"] == ["report"]
+        assert store.info()["corrupt_shards"] == 0
+
+    def test_hits_on_an_open_reader_make_no_stat_calls(self, tmp_path, monkeypatch):
+        store, keys, alias = _layout(tmp_path, "packed")
+        store.get_raw_many(keys + [alias])          # opens the readers
+        stats = []
+        real_stat = os.stat
+
+        def counting_stat(path, *args, **kwargs):
+            stats.append(path)
+            return real_stat(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "stat", counting_stat)
+        for _ in range(5):
+            assert all(blob for _key_, blob in
+                       store.get_raw_many(keys + [alias]).values())
+            assert store.get(keys[0]) is not None
+            assert store.get_report(keys[1]) is not None
+        assert stats == []
+        # A miss still checks its shard's on-disk signature, once.
+        assert store.get_raw_many([keys[0][:2] + "f" * 62])
+        assert len(stats) == 2                      # .json + .rps stat
+
+    def test_packed_payloads_validated_once_per_open_reader(self, tmp_path):
+        store, keys, alias = _layout(tmp_path, "packed")
+        for _ in range(3):
+            store.get_raw_many(keys + [alias])
+            store.get(keys[0])
+        info = store.info()
+        assert info["payload_decodes"] == len(keys)
+        assert info["alias_fast_hits"] == 1
+        for reader in store._readers.values():
+            assert all(found.entry is None for found in reader.found.values())
+
+    def test_invalid_report_is_a_raw_miss_but_still_a_payload(self, tmp_path):
+        store, keys, _alias = _layout(tmp_path, "packed")
+        payload = store.get(keys[0])
+        payload["key"] = _key("aa", 3)              # not its storage key
+        store.put(keys[0], payload)
+        fresh = SolutionStore(store.root)
+        assert fresh.get_raw_many([keys[0]])[keys[0]] == (keys[0], None)
+        assert fresh.get_report(keys[0]) is None
+        assert fresh.info()["corrupt_shards"] == 2
+        assert fresh.get(keys[0]) == payload        # the generic read is unaffected
+
+
+# ---------------------------------------------------------------------------
 # durability knob
 # ---------------------------------------------------------------------------
 
