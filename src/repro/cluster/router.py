@@ -40,9 +40,10 @@ from repro.cluster.runners import RunnerAddress
 from repro.engine.core import Problem, SolveLimits
 from repro.engine.fingerprint import spec_alias_key
 from repro.engine.plan import build_sweep_plan
+from repro.engine.service import group_slots
 from repro.engine.store import SolutionStore
 from repro.scenarios import ScenarioGrid, ScenarioSpec
-from repro.serve import PROTOCOL_VERSION, problem_to_payload
+from repro.serve import PROTOCOL_VERSION, parse_sweep_request, problem_to_payload
 from repro.utils.validation import ValidationError, require
 
 __all__ = ["ClusterClient", "ClusterStats", "RouterServer",
@@ -389,18 +390,14 @@ class ClusterClient:
         payloads = [specs[i].to_payload() for i in pending]
 
         def remap_line(sub_index: int, line: Dict[str, Any]) -> None:
-            line = dict(line)
-            line["index"] = pending[sub_index]
+            line = dict(line, index=pending[sub_index])
+            answered[pending[sub_index]] = line
             if on_line is not None:
                 on_line(pending[sub_index], line)
 
-        routed = await self._routed_sweep(
+        await self._routed_sweep(
             op="sweep_spec", field="specs", payloads=payloads, keys=keys,
             method=method, options=options, on_line=remap_line)
-        for sub_index, line in enumerate(routed):
-            line = dict(line)
-            line["index"] = pending[sub_index]
-            answered[pending[sub_index]] = line
         return [answered[i] for i in range(len(specs))]
 
     def _plan_local(self, specs: Sequence[ScenarioSpec], method: str,
@@ -416,32 +413,28 @@ class ClusterClient:
         if self.store is None:
             return {}
         try:
-            aliases = [spec_alias_key(spec, method, limits=self.limits,
-                                      validate=self.validate, **options)
-                       for spec in specs]
+            groups = group_slots([spec_alias_key(spec, method, limits=self.limits,
+                                                 validate=self.validate, **options)
+                                  for spec in specs])
         except ValidationError:
             return {}
-        unique: Dict[str, ScenarioSpec] = {}
-        for alias, spec in zip(aliases, specs):
-            unique.setdefault(alias, spec)
-        plan = build_sweep_plan(list(unique.items()), method,
-                                store=self.store, limits=self.limits,
-                                validate=self.validate, **options)
-        cell_by_alias = {cell.alias: cell for cell in plan.cells}
+        plan = build_sweep_plan(
+            [(alias, specs[slots[0]]) for alias, slots in groups.items()],
+            method, store=self.store, limits=self.limits,
+            validate=self.validate, **options)
         answered: Dict[int, Dict[str, Any]] = {}
-        for index, alias in enumerate(aliases):
-            cell = cell_by_alias[alias]
-            if cell.payload is None:
-                continue
-            # The stored report as it is -- the same value a runner's
-            # spliced line carries, never decoded into a SolveReport.
-            line = {"index": index, "key": cell.key, "source": "store",
+        for cell in plan.done:
+            for index in groups[cell.identity]:
+                # The stored report as it is -- the same value a runner's
+                # spliced line carries, never decoded into a SolveReport.
+                answered[index] = {
+                    "index": index, "key": cell.key, "source": "store",
                     "error": None, "report": json.loads(cell.payload),
                     "cell": cell.digest, "runner": None}
-            answered[index] = line
-            self.stats.planned_local += 1
-            if on_line is not None:
-                on_line(index, line)
+        self.stats.planned_local += len(answered)
+        if on_line is not None:
+            for index in sorted(answered):
+                on_line(index, answered[index])
         return answered
 
     async def sweep(self, problems: Sequence[Problem],
@@ -881,9 +874,7 @@ class RouterServer:
 
     async def _serve_sweep(self, request_id: Any, op: str,
                            request: Dict[str, Any], send) -> None:
-        options = request.get("options") or {}
-        require(isinstance(options, dict), "'options' must be an object")
-        method = request.get("method", "auto")
+        items, method, options = parse_sweep_request(op, request)
         loop = asyncio.get_running_loop()
         relay_tasks: List[asyncio.Task] = []
 
@@ -893,25 +884,11 @@ class RouterServer:
             relay_tasks.append(loop.create_task(send(out)))
 
         if op == "sweep_spec":
-            grid_payload = request.get("grid")
-            spec_payloads = request.get("specs")
-            require((grid_payload is None) != (spec_payloads is None),
-                    "sweep_spec requests need exactly one of 'grid' or "
-                    "'specs'")
-            if grid_payload is not None:
-                specs = list(ScenarioGrid.from_payload(grid_payload).expand())
-            else:
-                require(isinstance(spec_payloads, list) and spec_payloads,
-                        "'specs' must be a non-empty list of spec payloads")
-                specs = [ScenarioSpec.from_payload(p) for p in spec_payloads]
             results = await self.client.sweep_specs(
-                specs, method, options=options, on_line=on_line)
+                items, method, options=options, on_line=on_line)
         else:
-            scenarios = request.get("scenarios")
-            require(isinstance(scenarios, list) and scenarios,
-                    "sweep requests need a non-empty 'scenarios' list")
             results = await self.client.sweep_payloads(
-                scenarios, method, options=options, on_line=on_line)
+                items, method, options=options, on_line=on_line)
         if relay_tasks:
             await asyncio.gather(*relay_tasks)
         await send({"id": request_id, "done": True, "count": len(results),

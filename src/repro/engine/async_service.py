@@ -14,7 +14,7 @@ scenario batches at once and the service
 3. **queues the rest with backpressure** -- a bounded :class:`asyncio.Queue`
    blocks producers at the bound, and an :class:`asyncio.Semaphore` caps how
    many shards are in flight on the warm pool at once
-   (``loop.run_in_executor`` over :meth:`Portfolio.shard_task`);
+   (``loop.run_in_executor`` over :meth:`Portfolio.spec_shard_task`);
 4. **survives cancellation** -- a client cancelling its future never corrupts
    the store or the manifest: a shard already running completes, its results
    are persisted, and the other clients deduplicated onto it still get
@@ -28,7 +28,11 @@ Declarative scenario batches go through :meth:`AsyncSweepService.submit_specs`
 :class:`~repro.scenarios.spec.ScenarioSpec` records): dedup, in-flight
 sharing and store lookups happen before any DAG exists, and pending cells
 materialize lazily inside the worker shards -- the substrate of the
-``sweep_spec`` wire op in :mod:`repro.serve`.
+``sweep_spec`` wire op in :mod:`repro.serve`.  Both :meth:`submit` and
+:meth:`submit_specs` run one submission routine over the sweep planner
+(:func:`~repro.engine.plan.build_sweep_plan`), and every shard runs
+through the same :class:`~repro.engine.service.ShardExecutor` as
+:class:`~repro.engine.service.SweepService`.
 
 Clients receive plain :class:`asyncio.Future` objects (one per scenario
 slot, shared per request key) resolving to
@@ -60,6 +64,7 @@ Usage:
 from __future__ import annotations
 
 import asyncio
+import itertools
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -67,17 +72,15 @@ from repro.engine.core import (
     Problem,
     SolveLimits,
     SolveReport,
-    _clone_report,
-    cached_solution,
-    get_solution_store,
     normalize_problem,
     request_key,
     warm_solution_cache,
 )
-from repro.engine.fingerprint import record_spec_fingerprint, spec_alias_key
-from repro.engine.plan import CELL_MANIFEST_DONE, build_sweep_plan
+from repro.engine.fingerprint import record_alias_fingerprint, spec_alias_key
+from repro.engine.plan import PlannedCell, build_sweep_plan
 from repro.engine.portfolio import Portfolio
-from repro.engine.service import SweepResult, load_manifest_state, write_manifest
+from repro.engine.service import (CellOutcome, ResumeManifest, ShardExecutor,
+                                  SweepFront, SweepResult, group_slots)
 from repro.engine.store import (SolutionStore, _is_alias_payload,
                                 report_from_payload)
 from repro.scenarios import ScenarioGrid, ScenarioSpec
@@ -95,6 +98,9 @@ ASYNC_MANIFEST_METHOD = "async-mixed"
 #: solving the cell itself anyway (correct either way, just duplicated).
 CLAIM_WAIT_SECONDS = 30.0
 _CLAIM_POLL_SECONDS = 0.05
+
+#: Source of each service's prewarm mark (see :meth:`AsyncSweepService.warm_cache`).
+_PREWARM_TAGS = itertools.count(1)
 
 
 @dataclass
@@ -144,66 +150,42 @@ class AsyncSweepStats:
 
 @dataclass
 class _Inflight:
-    """One unique queued/solving request and everyone waiting on it.
+    """One unique queued/solving cell and everyone waiting on it.
 
-    Spec-native submissions (:meth:`AsyncSweepService.submit_specs`) fill
-    ``spec`` instead of ``problem``; their dedup/in-flight ``key`` is the
-    true request fingerprint when already resolved, else the spec alias
-    key -- the worker learns the true fingerprint while materializing and
-    :meth:`resolve` passes it through to the waiters' results.
+    Registered in the service's in-flight table under its plan identity
+    and, once known, its request fingerprint too, so a spec submission and
+    a materialized one of the same request share one solve.
     """
 
-    key: str
-    problem: Optional[Problem]
+    cell: PlannedCell
     method: str
     options: Dict[str, Any]
-    #: The declarative cell (spec-native submissions only).
-    spec: Optional[ScenarioSpec] = None
-    #: The cell's spec alias key (spec-native submissions only) -- the
-    #: persistent dedup identity, kept so shard completion can write the
-    #: alias entry and manifest cell without recomputing it.
-    alias: Optional[str] = None
-    #: ``(slot index, problem-as-submitted, spec-as-submitted, per-slot
-    #: future)`` per waiter.  The spec is tracked per waiter, not taken
-    #: from the entry: a spec-native waiter may deduplicate onto a
-    #: problem-kind in-flight entry (same request fingerprint) and must
-    #: still get its spec back on the result.
-    waiters: List[Tuple[int, Optional[Problem], Optional[ScenarioSpec],
-                        "asyncio.Future[SweepResult]"]] = \
+    #: ``(slot index, problem-or-spec as submitted, per-slot future)`` per
+    #: waiter.  The item is tracked per waiter, not taken from the entry:
+    #: a spec-native waiter may deduplicate onto a problem-kind entry and
+    #: must still get its spec back on the result.
+    waiters: List[Tuple[int, Any, "asyncio.Future[SweepResult]"]] = \
         field(default_factory=list)
 
-    def add_waiter(self, index: int, problem: Optional[Problem],
-                   future: "asyncio.Future[SweepResult]",
-                   spec: Optional[ScenarioSpec] = None) -> None:
-        self.waiters.append((index, problem, spec, future))
+    @property
+    def names(self) -> Tuple[str, ...]:
+        """The in-flight table keys the entry is registered under."""
+        return tuple({self.cell.identity, self.cell.key} - {None})
 
     def abandoned(self) -> bool:
         """Has every waiter cancelled (nobody wants the answer anymore)?"""
-        return all(future.cancelled() for _, _, _, future in self.waiters)
+        return all(future.cancelled() for _, _, future in self.waiters)
 
-    def resolve(self, report: Optional[SolveReport], source: str,
-                error: Optional[str], key: Optional[str] = None, *,
-                payload: Optional[bytes] = None) -> None:
-        """Deliver one outcome to every still-listening waiter.
+    def resolve(self, outcome: CellOutcome) -> None:
+        """Deliver one outcome to every still-listening waiter."""
+        for index, item, future in self.waiters:
+            if not future.done():  # cancelled (or already failed) waiters
+                future.set_result(outcome.result(index, item))
 
-        Each live waiter gets its own defensively-copied report (consumers
-        may edit allocations in place; deduplicated slots must not alias)
-        -- or, for a store hit, the stored report bytes ``payload``, which
-        each result decodes on its own when read.  ``key`` overrides the
-        recorded in-flight key in the delivered results (spec entries: the
-        worker-reported request fingerprint).
-        """
-        for index, problem, spec, future in self.waiters:
-            if future.done():  # cancelled (or already failed) waiters
-                continue
-            copy = None
-            if report is not None:
-                copy = _clone_report(report, from_cache=False)
-            future.set_result(SweepResult(index=index,
-                                          key=key if key is not None else self.key,
-                                          problem=problem, report=copy,
-                                          source=source, error=error,
-                                          spec=spec, payload=payload))
+    def fail(self, error: str) -> None:
+        self.resolve(CellOutcome(self.cell, "failed",
+                                 self.cell.key or self.cell.identity,
+                                 error=error))
 
 
 @dataclass
@@ -243,7 +225,7 @@ class SubmitTicket:
         return sum(1 for future in self.futures if future.cancel())
 
 
-class AsyncSweepService:
+class AsyncSweepService(SweepFront):
     """Concurrent, deduplicating, store-backed asyncio solve service.
 
     Parameters
@@ -306,22 +288,10 @@ class AsyncSweepService:
         require(shard_size > 0, "shard_size must be positive")
         require(max_concurrency is None or max_concurrency > 0,
                 "max_concurrency must be positive")
-        self.durable = durable
-        if isinstance(store, str):
-            store = SolutionStore(store, durable=durable)
-        self._explicit_store = store
-        self._owns_portfolio = portfolio is None
-        self._portfolio = portfolio if portfolio is not None else Portfolio(executor="process")
-        self._started_pool = False
-        if limits is not None:
-            self.limits = limits
-            self._portfolio.limits = limits
-        else:
-            self.limits = self._portfolio.limits
+        super().__init__(store, portfolio, limits, validate, durable)
         self.max_concurrency = max_concurrency
         self.queue_size = queue_size
         self.shard_size = shard_size
-        self.validate = validate
         self.manifest = manifest
         self.runner_id = runner_id
         self.stats = AsyncSweepStats()
@@ -331,50 +301,24 @@ class AsyncSweepService:
         self._dispatcher: Optional[asyncio.Task] = None
         self._shard_tasks: set = set()
         self._inflight: Dict[str, _Inflight] = {}
-        self._manifest_keys: List[str] = []
-        self._manifest_done: set = set()
-        #: Expanded consultation tokens (done tokens + per-cell
-        #: keys/digests); what resume checks match against.
-        self._manifest_tokens: set = set()
-        #: v2 per-cell identities (``{alias: {"cell", "key"}}``) of every
-        #: completed spec cell -- what a restarted deployment resumes from.
-        self._manifest_cells: Dict[str, Dict[str, str]] = {}
-        #: Prewarm state (:meth:`warm_cache`): alias key -> request
-        #: fingerprint mappings learned from warmed alias entries, and the
-        #: fingerprints whose reports were streamed into the tier-1 LRU.
-        #: Only keys in ``_prewarmed_keys`` are answered from memory at
-        #: submission time -- ordinary traffic keeps its store-first
-        #: contract (and its store counters) unchanged.
-        self._warm_keys: Dict[str, str] = {}
-        self._prewarmed_keys: set = set()
-        self._closed = False
+        self._executor = ShardExecutor(self, self.stats)
+        #: This service's mark on the LRU entries :meth:`warm_cache`
+        #: installed (``None`` until it first warms): only those entries
+        #: are answered from memory -- ordinary traffic keeps its
+        #: store-first contract (and its store counters) unchanged.
+        self._prewarm_tag: Optional[str] = None
         self._started = False
 
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
-    @property
-    def store(self) -> Optional[SolutionStore]:
-        """The store consulted and fed (explicit, else the global one)."""
-        if self._explicit_store is not None:
-            return self._explicit_store
-        return get_solution_store()
-
-    @property
-    def portfolio(self) -> Portfolio:
-        return self._portfolio
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
     def queue_depth(self) -> int:
         """Requests queued but not yet dispatched (0 before start)."""
         return self._queue.qsize() if self._queue is not None else 0
 
     def inflight_count(self) -> int:
         """Unique requests currently queued or solving."""
-        return len(self._inflight)
+        return len({id(entry) for entry in self._inflight.values()})
 
     def snapshot(self) -> Dict[str, Any]:
         """One JSON-safe dict aggregating every counter a deployment has.
@@ -433,15 +377,16 @@ class AsyncSweepService:
         :meth:`~repro.engine.store.SolutionStore.scan_routed` path.
         Without a ring the whole store is warmed (single-runner restarts).
 
-        Report entries are decoded and installed in the LRU
-        (:func:`~repro.engine.core.warm_solution_cache`); alias entries
-        cost one dict insert each and let :meth:`submit_specs` resolve a
-        spec straight to its warmed fingerprint.  Warmed keys are then
-        answered with ``source="memory"`` at submission time, before any
-        plan or store probe -- that is the "zero-recompute handoff": the
-        first post-join sweep of a moved key range never leaves the
-        process.  ``limit`` caps the number of reports installed (alias
-        mappings are always collected; they are tiny).
+        Report entries are decoded and installed in the LRU under this
+        service's prewarm mark (:func:`~repro.engine.core.warm_solution_cache`);
+        alias entries go into the bounded spec-key memo and let
+        :meth:`submit_specs` resolve a spec straight to its warmed
+        fingerprint.  The planner then answers warmed keys with
+        ``source="memory"`` before any store probe -- that is the
+        "zero-recompute handoff": the first post-join sweep of a moved key
+        range never leaves the process.  ``limit`` caps the number of
+        reports installed (alias mappings are always collected; they are
+        tiny).
 
         Synchronous and idempotent; call it before the runner takes
         traffic.  Returns ``{"warmed": installed, "aliases": learned}``.
@@ -459,7 +404,7 @@ class AsyncSweepService:
         aliases = 0
         for key, payload in entries:
             if _is_alias_payload(payload):
-                self._warm_keys[key] = payload["alias_of"]
+                record_alias_fingerprint(key, payload["alias_of"])
                 aliases += 1
                 continue
             if limit is not None and len(reports) >= limit:
@@ -471,8 +416,9 @@ class AsyncSweepService:
                 # the cell simply stays cold and the store still answers.
                 continue
             reports.append((key, report))
-        warmed = warm_solution_cache(reports)
-        self._prewarmed_keys.update(key for key, _ in reports)
+        if self._prewarm_tag is None:
+            self._prewarm_tag = f"prewarm-{next(_PREWARM_TAGS)}"
+        warmed = warm_solution_cache(reports, tag=self._prewarm_tag)
         self.stats.prewarmed += warmed
         self.stats.prewarmed_aliases += aliases
         return {"warmed": warmed, "aliases": aliases}
@@ -482,20 +428,15 @@ class AsyncSweepService:
         self._require_open()
         if self._started:
             return self
-        if self._portfolio.pool is None:
-            self._portfolio.start()
-            self._started_pool = True
+        self._warm_pool()
         concurrency = self.max_concurrency or self._portfolio.worker_count()
         self._queue = asyncio.Queue(maxsize=self.queue_size)
         self._semaphore = asyncio.Semaphore(concurrency)
         self._dispatcher = asyncio.create_task(self._dispatch_loop(),
                                                name="repro-async-sweep-dispatch")
         if self.manifest:
-            state = load_manifest_state(self.manifest, ASYNC_MANIFEST_METHOD)
-            self._manifest_done = state.done
-            self._manifest_tokens = set(state.tokens)
-            self._manifest_cells = dict(state.cells)
-            self._manifest_keys = sorted(state.done)
+            self._executor.manifest = ResumeManifest(
+                self.manifest, ASYNC_MANIFEST_METHOD, durable=self.durable)
         self._started = True
         return self
 
@@ -506,37 +447,14 @@ class AsyncSweepService:
         Zero until :meth:`start` reads the manifest (or when no manifest
         is configured); grows as further cells finish.
         """
-        return len(self._manifest_done)
+        manifest = self._executor.manifest
+        return len(manifest.done) if manifest is not None else 0
 
     async def __aenter__(self) -> "AsyncSweepService":
         return await self.start()
 
     async def __aexit__(self, exc_type, exc, tb) -> None:
         await self.aclose()
-
-    def _require_open(self) -> None:
-        if self._closed:
-            raise RuntimeError(
-                "AsyncSweepService is closed; create a new service to "
-                "submit further scenarios")
-
-    def _record_manifest_cell(self, alias: str, digest: str, key: str) -> None:
-        """Mark a spec cell done in the in-memory resume state.
-
-        Flushed to disk by the next shard checkpoint (or :meth:`aclose`);
-        until then the store itself still answers a restart, so nothing
-        is lost if the process dies first.
-        """
-        if not self.manifest:
-            return
-        if alias not in self._manifest_done:
-            self._manifest_done.add(alias)
-            self._manifest_keys.append(alias)
-        self._manifest_cells[alias] = {"cell": digest, "key": key}
-        self._manifest_tokens.add(alias)
-        self._manifest_tokens.add(digest)
-        if key:
-            self._manifest_tokens.add(key)
 
     async def drain(self) -> None:
         """Wait until everything queued and in flight has resolved."""
@@ -569,17 +487,8 @@ class AsyncSweepService:
                     # futures hung; finish cleanup, then surface it.
                     dispatcher_error = exc
                 self._dispatcher = None
-            if self.manifest:
-                ok = write_manifest(self.manifest, ASYNC_MANIFEST_METHOD,
-                                    sorted(self._manifest_keys),
-                                    self._manifest_done, completed=True,
-                                    cells=self._manifest_cells,
-                                    durable=self.durable)
-                if not ok:
-                    self.stats.manifest_write_errors += 1
-            if self._owns_portfolio or self._started_pool:
-                self._portfolio.close()
-                self._started_pool = False
+            self._executor.checkpoint(completed=True)
+            self._close_pool()
         if dispatcher_error is not None:
             raise dispatcher_error
 
@@ -591,80 +500,14 @@ class AsyncSweepService:
         """Enqueue a scenario batch; returns futures per slot/request key.
 
         Resolution order per slot: share an in-flight solve (tier 0), then
-        the persistent store (tier 2), else the request is queued --
-        awaiting here is the backpressure point when the queue is full.
-        ``options`` must be literal values
+        prewarmed memory and the persistent store (tier 2), else the
+        request is queued -- awaiting here is the backpressure point when
+        the queue is full.  ``options`` must be literal values
         (:func:`~repro.engine.core.request_key` raises otherwise).
         """
         self._require_open()
-        await self.start()
-        loop = asyncio.get_running_loop()
-        problems = [normalize_problem(p) for p in scenarios]
-        keys = [request_key(p, method, limits=self.limits,
-                            validate=self.validate, **options)
-                for p in problems]
-        self.stats.batches += 1
-        store = self.store
-        futures: List[asyncio.Future] = []
-        # One batched raw store read over the batch's unique keys that no
-        # in-flight solve or prewarmed entry answers: duplicate slots share
-        # the fetched bytes, and nothing is decoded on the event loop.
-        wanted = [key for key in dict.fromkeys(keys)
-                  if key not in self._inflight and key not in self._prewarmed_keys]
-        fetched: Dict[str, Tuple[Optional[str], Optional[bytes]]] = (
-            store.get_raw_many(wanted) if store is not None and wanted else {})
-        for index, (key, problem) in enumerate(zip(keys, problems)):
-            self.stats.requests += 1
-            slot: asyncio.Future = loop.create_future()
-            futures.append(slot)
-            entry = self._inflight.get(key)
-            if entry is not None:
-                self.stats.deduped += 1
-                entry.add_waiter(index, problem, slot)
-                continue
-            if key in self._prewarmed_keys:
-                report = cached_solution(key)
-                if report is not None:
-                    self.stats.prewarm_hits += 1
-                    if key in self._manifest_tokens:
-                        self.stats.resumed += 1
-                    slot.set_result(SweepResult(
-                        index=index, key=key, problem=problem,
-                        report=report, source="memory"))
-                    continue
-            if key not in fetched:
-                # In flight when the batch was read (since resolved), or a
-                # prewarmed entry the LRU has evicted: read it on its own.
-                fetched.update(store.get_raw_many([key]) if store is not None
-                               else {key: (None, None)})
-            payload = fetched[key][1]
-            if payload is not None:
-                self.stats.store_hits += 1
-                if key in self._manifest_tokens:
-                    self.stats.resumed += 1
-                slot.set_result(SweepResult(
-                    index=index, key=key, problem=problem, report=None,
-                    source="store", payload=payload))
-                continue
-            entry = _Inflight(key=key, problem=problem, method=method,
-                              options=dict(options))
-            entry.add_waiter(index, problem, slot)
-            self._inflight[key] = entry
-            try:
-                # Backpressure: a full queue blocks the producer right here.
-                await self._queue.put(entry)
-            except asyncio.CancelledError:
-                # The producer was cancelled at the backpressure point: the
-                # entry never reached the queue, so nothing will ever
-                # dispatch it.  Retract it -- leaving it in ``_inflight``
-                # would dedup every future request for this key onto a dead
-                # entry (a permanent hang).  Waiters that deduplicated onto
-                # it while we blocked are failed, not hung.
-                self._inflight.pop(key, None)
-                entry.resolve(None, "failed",
-                              "submission cancelled while waiting for queue space")
-                raise
-        return SubmitTicket(keys=keys, futures=futures)
+        return await self._submit([normalize_problem(p) for p in scenarios],
+                                  method, options)
 
     async def submit_specs(self, scenarios: Union[ScenarioGrid,
                                                   Sequence[ScenarioSpec]],
@@ -688,108 +531,93 @@ class AsyncSweepService:
         cells that failed before materializing.
         """
         self._require_open()
-        await self.start()
-        loop = asyncio.get_running_loop()
         if isinstance(scenarios, ScenarioGrid):
             scenarios = scenarios.expand()
         specs = list(scenarios)
         require(all(isinstance(s, ScenarioSpec) for s in specs),
                 "submit_specs() wants ScenarioSpecs (or a ScenarioGrid); "
                 "use submit() for materialized problems")
+        return await self._submit(specs, method, options)
+
+    async def _submit(self, items: List[Any], method: str,
+                      options: Dict[str, Any]) -> SubmitTicket:
+        """The submission routine behind :meth:`submit` and :meth:`submit_specs`.
+
+        Slots are grouped by plan identity (a spec's alias, a problem's
+        request key); a group shares an in-flight solve if one exists,
+        the rest are classified in one batched plan (prewarmed memory,
+        spec-key memo, store), and each still-pending group is queued as
+        one entry.  Every slot after a group's first counts as
+        ``deduped``.
+        """
+        await self.start()
+        loop = asyncio.get_running_loop()
+        groups = group_slots([
+            spec_alias_key(item, method, limits=self.limits,
+                           validate=self.validate, **options)
+            if isinstance(item, ScenarioSpec)
+            else request_key(item, method, limits=self.limits,
+                             validate=self.validate, **options)
+            for item in items])
         self.stats.batches += 1
-        store = self.store
-        keys: List[str] = []
-        futures: List[asyncio.Future] = []
-        # The incremental planning tier: classify every unique cell of the
-        # batch in one batched store pass (store-hit / alias-hit /
-        # manifest-done / pending) before walking the slots.
-        aliases = [spec_alias_key(spec, method, limits=self.limits,
-                                  validate=self.validate, **options)
-                   for spec in specs]
-        # Prewarm tier: a cell whose alias was learned by warm_cache() and
-        # whose report sits in the warmed LRU is answered from memory
-        # before the plan is even built -- build_sweep_plan probes the
-        # store per cell, so resolving here (not after) is what makes a
-        # warm handoff skip the store round-trips too.
-        warm_answers: Dict[str, Tuple[str, SolveReport]] = {}
-        if self._warm_keys:
-            for alias in aliases:
-                if alias in warm_answers:
-                    continue
-                fingerprint = self._warm_keys.get(alias)
-                if (fingerprint is None
-                        or fingerprint not in self._prewarmed_keys):
-                    continue
-                report = cached_solution(fingerprint)
-                if report is not None:
-                    warm_answers[alias] = (fingerprint, report)
-        unique: Dict[str, ScenarioSpec] = {}
-        for alias, spec in zip(aliases, specs):
-            if alias in warm_answers:
+        self.stats.requests += len(items)
+        futures: List[asyncio.Future] = [loop.create_future() for _ in items]
+        keys: List[str] = [""] * len(items)
+
+        def attach(entry: _Inflight, identity: str, owner: bool = False) -> None:
+            # Every slot of the group waits on the entry; all but the
+            # owner's first slot count as deduplicated.
+            slots = groups[identity]
+            self.stats.deduped += len(slots) - owner
+            for index in slots:
+                keys[index] = entry.cell.key or identity
+                entry.waiters.append((index, items[index], futures[index]))
+
+        fresh: List[Tuple[str, Any]] = []
+        for identity, slots in groups.items():
+            entry = self._inflight.get(identity)
+            if entry is not None:
+                attach(entry, identity)  # tier 0: share the in-flight solve
+            else:
+                fresh.append((identity, items[slots[0]]))
+        manifest = self._executor.manifest
+        plan = build_sweep_plan(
+            fresh, method, store=self.store, limits=self.limits,
+            validate=self.validate,
+            manifest_done=manifest.tokens if manifest is not None else None,
+            prewarm_tag=self._prewarm_tag, **options)
+        for cell in plan.done:
+            outcome = self._executor.answered(cell)
+            slots = groups[cell.identity]
+            self.stats.deduped += len(slots) - 1
+            for index in slots:
+                keys[index] = outcome.key
+                futures[index].set_result(outcome.result(index, items[index]))
+        for cell in plan.pending:
+            # Re-checked here, not only before planning: a concurrent
+            # submission may have queued the cell while we awaited queue
+            # space -- under its identity, or (spec vs. problem) its key.
+            entry = self._inflight.get(cell.identity) or self._inflight.get(cell.key or "")
+            if entry is not None:
+                attach(entry, cell.identity)
                 continue
-            unique.setdefault(alias, spec)
-        plan = build_sweep_plan(list(unique.items()), method, store=store,
-                                limits=self.limits, validate=self.validate,
-                                manifest_done=self._manifest_tokens, **options)
-        cell_by_alias = {cell.alias: cell for cell in plan.cells}
-        for index, (alias, spec) in enumerate(zip(aliases, specs)):
-            self.stats.requests += 1
-            slot: asyncio.Future = loop.create_future()
-            futures.append(slot)
-            warm = warm_answers.get(alias)
-            if warm is not None:
-                fingerprint, warm_report = warm
-                keys.append(fingerprint)
-                self.stats.prewarm_hits += 1
-                # The warmed answer carries everything a store hit would
-                # have taught us: memoize spec -> fingerprint and mark the
-                # manifest cell done, so restarts and grid diffs see it.
-                record_spec_fingerprint(spec, fingerprint, method,
-                                        limits=self.limits,
-                                        validate=self.validate, **options)
-                self._record_manifest_cell(alias, spec.cell_digest(),
-                                           fingerprint)
-                slot.set_result(SweepResult(
-                    index=index, key=fingerprint, problem=None,
-                    report=_clone_report(warm_report, from_cache=True,
-                                         cache_tier="memory"),
-                    source="memory", spec=spec))
-                continue
-            cell = cell_by_alias[alias]
-            inflight_key = cell.key if cell.key is not None else alias
-            keys.append(inflight_key)
-            # Tier 0: share an in-flight solve -- under either identity
-            # (an unresolved duplicate queued under its alias, or a
-            # resolved one under its true fingerprint).
-            entry_inflight = (self._inflight.get(inflight_key)
-                              or self._inflight.get(alias))
-            if entry_inflight is not None:
-                self.stats.deduped += 1
-                entry_inflight.add_waiter(index, None, slot, spec=spec)
-                continue
-            if cell.payload is not None:
-                self.stats.store_hits += 1
-                if cell.status == CELL_MANIFEST_DONE:
-                    self.stats.resumed += 1
-                self._record_manifest_cell(alias, cell.digest, cell.key or "")
-                slot.set_result(SweepResult(
-                    index=index, key=cell.key, problem=None, report=None,
-                    source="store", spec=spec, payload=cell.payload))
-                continue
-            entry = _Inflight(key=inflight_key, problem=None, method=method,
-                              options=dict(options), spec=spec, alias=alias)
-            entry.add_waiter(index, None, slot, spec=spec)
-            self._inflight[inflight_key] = entry
+            entry = _Inflight(cell=cell, method=method, options=dict(options))
+            attach(entry, cell.identity, owner=True)
+            for name in entry.names:
+                self._inflight[name] = entry
             try:
                 # Backpressure: a full queue blocks the producer right here.
                 await self._queue.put(entry)
             except asyncio.CancelledError:
-                # Same retraction contract as submit(): an entry that never
-                # reached the queue must not dedup future requests onto a
-                # dead in-flight record.
-                self._inflight.pop(inflight_key, None)
-                entry.resolve(None, "failed",
-                              "submission cancelled while waiting for queue space")
+                # The producer was cancelled at the backpressure point: the
+                # entry never reached the queue, so nothing will ever
+                # dispatch it.  Retract it -- leaving it in ``_inflight``
+                # would dedup every future request for this cell onto a
+                # dead entry (a permanent hang).  Waiters that
+                # deduplicated onto it while we blocked are failed, not
+                # hung.
+                self._retract(entry)
+                entry.fail("submission cancelled while waiting for queue space")
                 raise
         return SubmitTicket(keys=keys, futures=futures)
 
@@ -805,11 +633,10 @@ class AsyncSweepService:
     # ------------------------------------------------------------------
     # dispatch
     # ------------------------------------------------------------------
-    def _group_token(self, entry: _Inflight) -> str:
-        # Spec entries and materialized entries never share a shard: the
-        # executor task shapes differ (spec shards return key triples).
-        kind = "spec" if entry.spec is not None else "problem"
-        return f"{kind}|{entry.method}|{sorted(entry.options.items())!r}"
+    def _retract(self, entry: _Inflight) -> None:
+        for name in entry.names:
+            if self._inflight.get(name) is entry:
+                del self._inflight[name]
 
     async def _dispatch_loop(self) -> None:
         """Pop requests, batch compatible ones into shards, hand them to
@@ -828,36 +655,25 @@ class AsyncSweepService:
             for item in batch:
                 if item.abandoned():
                     self.stats.cancelled += 1
-                    self._inflight.pop(item.key, None)
+                    self._retract(item)
                     self._queue.task_done()
                     continue
-                groups.setdefault(self._group_token(item), []).append(item)
+                token = f"{item.method}|{sorted(item.options.items())!r}"
+                groups.setdefault(token, []).append(item)
             for shard in groups.values():
                 await self._semaphore.acquire()
                 task = asyncio.create_task(self._run_shard(shard))
                 self._shard_tasks.add(task)
                 task.add_done_callback(self._shard_tasks.discard)
 
-    def _resolve_from_store(self, entry: _Inflight, key: str,
-                            payload: bytes) -> None:
-        """Answer one queued entry from a concurrently-written store row."""
-        self.stats.store_hits += 1
-        self.stats.dup_solves_avoided += 1
-        if entry.spec is not None:
-            record_spec_fingerprint(entry.spec, key, entry.method,
-                                    limits=self.limits,
-                                    validate=self.validate, **entry.options)
-            if entry.alias is not None:
-                self._record_manifest_cell(entry.alias,
-                                           entry.spec.cell_digest(), key)
-        entry.resolve(None, "store", None, key=key, payload=payload)
-
     async def _run_shard(self, entries: List[_Inflight]) -> None:
         """Solve one shard in the pool, persist, then resolve waiters.
 
         Persistence (store + manifest) happens strictly *before* any waiter
-        is resolved, so a client that cancels or crashes the moment its
-        future fires can never leave a computed result unpersisted.
+        is resolved (:meth:`ShardExecutor.persist
+        <repro.engine.service.ShardExecutor.persist>`), so a client that
+        cancels or crashes the moment its future fires can never leave a
+        computed result unpersisted.
 
         Before dispatching, the shard rechecks the store (one batched
         pass) and claims each still-cold cell: a cell another process
@@ -868,129 +684,48 @@ class AsyncSweepService:
         ``dup_solves_avoided``.
         """
         loop = asyncio.get_running_loop()
-        store = self.store
-        claimed: List[str] = []
+        executor = self._executor
+        store = executor.store
+        by_identity = {entry.cell.identity: entry for entry in entries}
+        claimed: List[PlannedCell] = []
         try:
-            spec_shard = entries[0].spec is not None
-            to_solve: List[_Inflight] = entries
-            if store is not None:
-                to_solve = []
-                contended: List[_Inflight] = []
-                recheck = store.get_raw_many([e.key for e in entries])
-                for entry in entries:
-                    true_key, payload = recheck.get(entry.key, (None, None))
-                    if payload is not None:
-                        self._resolve_from_store(entry, true_key or entry.key,
-                                                 payload)
-                    elif store.claim_solve(entry.key):
-                        claimed.append(entry.key)
-                        to_solve.append(entry)
-                    else:
-                        contended.append(entry)
-                if contended:
-                    waited = 0.0
-                    while (waited < CLAIM_WAIT_SECONDS
-                           and any(store.solve_claim_holder(e.key) is not None
-                                   for e in contended)):
-                        await asyncio.sleep(_CLAIM_POLL_SECONDS)
-                        waited += _CLAIM_POLL_SECONDS
-                    recheck = store.get_raw_many([e.key for e in contended])
-                    for entry in contended:
-                        true_key, payload = recheck.get(entry.key, (None, None))
-                        if payload is not None:
-                            self._resolve_from_store(
-                                entry, true_key or entry.key, payload)
-                        else:
-                            # Claimant died or overran the wait: solve it
-                            # ourselves (correct, just not deduplicated).
-                            to_solve.append(entry)
+            answered, pending = executor.reread([e.cell for e in entries])
+            claimed, contended = executor.claim(pending)
+            if contended:
+                waited = 0.0
+                while (waited < CLAIM_WAIT_SECONDS
+                       and any(store.solve_claim_holder(cell.identity) is not None
+                               for cell in contended)):
+                    await asyncio.sleep(_CLAIM_POLL_SECONDS)
+                    waited += _CLAIM_POLL_SECONDS
+                # Claimant died or overran the wait: whatever it did not
+                # store we solve ourselves (correct, just not deduplicated).
+                more, contended = executor.reread(contended)
+                answered += more
+            for outcome in answered:
+                by_identity[outcome.cell.identity].resolve(outcome)
+            to_solve = claimed + contended
             if not to_solve:
                 return
-            self.stats.shards += 1
+            method, options = entries[0].method, entries[0].options
             try:
-                if spec_shard:
-                    fn, args = self._portfolio.spec_shard_task(
-                        [e.spec for e in to_solve], to_solve[0].method,
-                        validate=self.validate, **to_solve[0].options)
-                else:
-                    fn, args = self._portfolio.shard_task(
-                        [e.problem for e in to_solve], to_solve[0].method,
-                        validate=self.validate, **to_solve[0].options)
-                raw = await loop.run_in_executor(self._portfolio.pool,
-                                                 fn, *args)
+                fn, args = executor.task(to_solve, method, options)
+                triples = await loop.run_in_executor(self._portfolio.pool,
+                                                     fn, *args)
             except asyncio.CancelledError:
                 # Shutdown mid-flight: the executor work itself cannot be
                 # interrupted (it will finish or die with the pool), but
                 # nothing gets recorded as done and waiters learn why.
-                for entry in to_solve:
-                    entry.resolve(None, "failed", "service shut down")
+                for cell in to_solve:
+                    by_identity[cell.identity].fail("service shut down")
                 raise
             except Exception as exc:  # noqa: BLE001 - reported per request
-                raw = None
-                error_text = f"{type(exc).__name__}: {exc}"
-            # Normalize both shard shapes to (true_key, report, error):
-            # spec workers report each cell's request fingerprint learned
-            # while materializing; problem shards already know theirs.
-            if raw is None:
-                outcomes = [(None, None, error_text)] * len(to_solve)
-            elif spec_shard:
-                outcomes = list(raw)
-            else:
-                outcomes = [(entry.key, report, error)
-                            for entry, (report, error) in zip(to_solve, raw)]
-
-            if store is not None:
-                store.put_reports([(key, report)
-                                   for key, report, _err in outcomes
-                                   if report is not None])
-                if spec_shard:
-                    # Persist the spec->fingerprint aliases so future spec
-                    # submissions resolve store keys without a DAG build.
-                    store.put_many(
-                        [(entry.alias, {"alias_of": key})
-                         for entry, (key, report, _err) in zip(to_solve, outcomes)
-                         if report is not None and entry.alias is not None])
-            if spec_shard:
-                for entry, (key, _report, _err) in zip(to_solve, outcomes):
-                    if key is not None:
-                        record_spec_fingerprint(entry.spec, key, entry.method,
-                                                limits=self.limits,
-                                                validate=self.validate,
-                                                **entry.options)
-            if self.manifest:
-                fresh = False
-                for entry, (key, report, _err) in zip(to_solve, outcomes):
-                    if report is None:
-                        continue
-                    fresh = True
-                    if entry.spec is not None and entry.alias is not None:
-                        self._record_manifest_cell(
-                            entry.alias, entry.spec.cell_digest(), key or "")
-                    elif key is not None and key not in self._manifest_done:
-                        self._manifest_done.add(key)
-                        self._manifest_tokens.add(key)
-                        self._manifest_keys.append(key)
-                if fresh:
-                    ok = write_manifest(self.manifest, ASYNC_MANIFEST_METHOD,
-                                        sorted(self._manifest_keys),
-                                        self._manifest_done,
-                                        completed=False,
-                                        cells=self._manifest_cells,
-                                        durable=self.durable)
-                    if not ok:
-                        self.stats.manifest_write_errors += 1
-            for entry, (key, report, error) in zip(to_solve, outcomes):
-                if report is not None:
-                    self.stats.computed += 1
-                    entry.resolve(report, "computed", None, key=key)
-                else:
-                    self.stats.failed += 1
-                    entry.resolve(None, "failed", error, key=key)
+                triples = [(None, None, f"{type(exc).__name__}: {exc}")] * len(to_solve)
+            for outcome in executor.persist(to_solve, triples):
+                by_identity[outcome.cell.identity].resolve(outcome)
         finally:
-            if store is not None:
-                for key in claimed:
-                    store.release_solve_claim(key)
+            executor.release(claimed)
             for entry in entries:
-                self._inflight.pop(entry.key, None)
+                self._retract(entry)
                 self._queue.task_done()
             self._semaphore.release()

@@ -41,6 +41,11 @@ class LRUCache:
             self.misses += 1
             return None
 
+    def peek(self, key: Hashable) -> Optional[Any]:
+        """The cached value or ``None``, touching neither recency nor stats."""
+        with self._lock:
+            return self._data.get(key)
+
     def put(self, key: Hashable, value: Any) -> None:
         """Insert ``value``, evicting the least recently used entries."""
         with self._lock:

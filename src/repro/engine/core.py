@@ -207,39 +207,53 @@ def get_solution_store() -> Optional[SolutionStore]:
     return _SOLUTION_STORE
 
 
-def cached_solution(cache_key: str) -> Optional[SolveReport]:
+def cached_solution(cache_key: str, tag: Optional[str] = None) -> Optional[SolveReport]:
     """The tier-1 LRU entry for ``cache_key``, as a cache-hit report.
 
     Returns ``None`` on a miss; a hit comes back defensively copied with
     ``from_cache=True`` / ``cache_tier="memory"``, exactly like the LRU
-    branch of :func:`solve`.  This is the read half of the elastic-resize
-    prewarm tier (:meth:`AsyncSweepService.warm_cache
-    <repro.engine.async_service.AsyncSweepService.warm_cache>` answers
-    moved cells from it before any plan or store probe).
+    branch of :func:`solve`.  With ``tag`` only an entry that
+    :func:`warm_solution_cache` installed under that tag counts: the read
+    half of the elastic-resize prewarm tier, which the sweep planner
+    (:func:`~repro.engine.plan.build_sweep_plan`) consults before any
+    store probe.  The mark lives on the LRU entry itself, so the prewarm
+    state is bounded by the LRU.
     """
+    if tag is not None:
+        # Only a marked entry is a lookup: other probes leave the LRU's
+        # recency and hit/miss counters alone.
+        marked = _SOLUTION_CACHE.peek(cache_key)
+        if marked is None or marked.cache_tier != tag:
+            return None
     cached = _SOLUTION_CACHE.get(cache_key)
     if cached is None:
         return None
     return _clone_report(cached, from_cache=True, cache_tier="memory")
 
 
-def warm_solution_cache(items: Iterable[Tuple[str, SolveReport]]) -> int:
+def warm_solution_cache(items: Iterable[Tuple[str, SolveReport]],
+                        tag: str = "") -> int:
     """Bulk-load ``(cache_key, report)`` pairs into the tier-1 LRU.
 
     The write half of resize prewarming: a joining runner streams its
     acquired key range out of the store (:meth:`SolutionStore.scan_routed
     <repro.engine.store.SolutionStore.scan_routed>`) and installs the
     decoded reports here so its first post-join sweep hits warm memory.
-    Entries already cached are left untouched (their LRU recency
-    included); each installed report is defensively copied the same way
-    :func:`solve` stores its own results.  Returns the number of entries
-    actually installed.
+    Entries already cached are not replaced; each installed report is
+    defensively copied the same way :func:`solve` stores its own results.
+    With ``tag``, every given key's entry is marked for
+    ``cached_solution(key, tag)``.  Returns the number of entries actually
+    installed.
     """
     count = 0
     for key, report in items:
-        if _SOLUTION_CACHE.get(key) is None:
-            _SOLUTION_CACHE.put(key, _clone_report(report, from_cache=False))
+        cached = _SOLUTION_CACHE.get(key)
+        if cached is None:
+            cached = _clone_report(report, from_cache=False)
+            _SOLUTION_CACHE.put(key, cached)
             count += 1
+        if tag:
+            cached.cache_tier = tag
     return count
 
 

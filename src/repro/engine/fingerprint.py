@@ -58,6 +58,8 @@ __all__ = [
     "spec_fingerprint",
     "cached_spec_fingerprint",
     "record_spec_fingerprint",
+    "alias_fingerprint",
+    "record_alias_fingerprint",
     "spec_alias_key",
     "clear_spec_key_cache",
     "solution_to_payload",
@@ -157,10 +159,11 @@ def request_fingerprint(problem_digest: str, method: str, limits_key: Tuple,
 # spec fingerprints (the declarative scenario layer's key resolution)
 # ---------------------------------------------------------------------------
 
-#: ``spec request token -> request fingerprint``.  The token is pure spec
-#: content (no DAG); the value is the materialized problem's request
-#: fingerprint, learned by materializing once or seeded from a worker /
-#: store alias via :func:`record_spec_fingerprint`.
+#: ``spec alias key -> request fingerprint``.  The alias key
+#: (:func:`spec_alias_key`) is pure spec content (no DAG); the value is the
+#: materialized problem's request fingerprint, learned by materializing
+#: once or seeded from a worker / store alias via
+#: :func:`record_alias_fingerprint`.
 _SPEC_KEY_CACHE = LRUCache(maxsize=4096)
 
 
@@ -192,15 +195,16 @@ def spec_fingerprint(spec: Any, method: str = "auto", *,
     the first materialization via :func:`cached_spec_fingerprint` plus the
     persistent :func:`spec_alias_key` entries they write.
     """
-    token = _spec_request_token(spec, method, limits, validate, options)
-    key = _SPEC_KEY_CACHE.get(token)
+    alias = spec_alias_key(spec, method, limits=limits, validate=validate,
+                           **options)
+    key = _SPEC_KEY_CACHE.get(alias)
     if key is not None:
         return key
     from repro.engine.core import request_key
 
     key = request_key(spec.materialize(), method, limits=limits,
                       validate=validate, **options)
-    _SPEC_KEY_CACHE.put(token, key)
+    _SPEC_KEY_CACHE.put(alias, key)
     return key
 
 
@@ -209,8 +213,8 @@ def cached_spec_fingerprint(spec: Any, method: str = "auto", *,
                             **options: Any) -> Optional[str]:
     """The memoized :func:`spec_fingerprint`, or ``None`` -- never builds
     a DAG."""
-    return _SPEC_KEY_CACHE.get(
-        _spec_request_token(spec, method, limits, validate, options))
+    return alias_fingerprint(spec_alias_key(spec, method, limits=limits,
+                                            validate=validate, **options))
 
 
 def record_spec_fingerprint(spec: Any, key: str, method: str = "auto", *,
@@ -218,13 +222,26 @@ def record_spec_fingerprint(spec: Any, key: str, method: str = "auto", *,
                             **options: Any) -> None:
     """Seed the spec-key memo with an externally learned fingerprint.
 
-    Serving layers call this with the request fingerprint a worker (which
-    did materialize the spec) or a persistent alias entry reported, so
-    subsequent :func:`cached_spec_fingerprint` calls resolve without a
-    DAG build in this process either.
+    Called with the request fingerprint a worker (which did materialize
+    the spec) or a persistent alias entry reported, so subsequent
+    :func:`cached_spec_fingerprint` calls resolve without a DAG build in
+    this process either.
     """
-    _SPEC_KEY_CACHE.put(
-        _spec_request_token(spec, method, limits, validate, options), key)
+    record_alias_fingerprint(spec_alias_key(spec, method, limits=limits,
+                                            validate=validate, **options), key)
+
+
+def alias_fingerprint(alias: str) -> Optional[str]:
+    """The memoized request fingerprint of the cell with ``alias`` (a
+    :func:`spec_alias_key`), or ``None``."""
+    return _SPEC_KEY_CACHE.get(alias)
+
+
+def record_alias_fingerprint(alias: str, key: str) -> None:
+    """Memoize ``alias -> key``: the form the serving layers use, since
+    they already hold each cell's alias (a worker or a persistent alias
+    entry reported the fingerprint)."""
+    _SPEC_KEY_CACHE.put(alias, key)
 
 
 def spec_alias_key(spec: Any, method: str = "auto", *,
@@ -235,7 +252,7 @@ def spec_alias_key(spec: Any, method: str = "auto", *,
     Distinct from the request fingerprint itself (aliases carry
     ``{"alias_of": ...}`` payloads, not reports) but just as stable:
     pure spec content, no DAG.  Also the pre-materialization dedup key of
-    the spec-native sweep paths.
+    the spec-native sweep paths, and the key of the spec-key memo.
     """
     token = _spec_request_token(spec, method, limits, validate, options)
     return hashlib.sha256(f"spec-alias|{token}".encode()).hexdigest()

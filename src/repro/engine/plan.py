@@ -5,15 +5,21 @@ store one key at a time, and sized shards from a static pool-width
 heuristic that never looked at what the store had already answered.
 This module is the planning tier that replaces both:
 
-* :func:`build_sweep_plan` takes a sweep's unique cells (``(alias,
-  spec)`` pairs -- the pre-materialization dedup the services already
-  perform) and classifies **every** cell in one batched store pass
+* :func:`build_sweep_plan` takes a sweep's unique cells -- ``(alias,
+  spec)`` pairs, the pre-materialization dedup, or ``(request key,
+  problem)`` pairs, a materialized cell being the degenerate cell whose
+  identity is its request key -- and classifies **every** cell in one
+  batched pass over prewarmed memory, the spec-key memo and the store
   (:meth:`SolutionStore.get_raw_many
   <repro.engine.store.SolutionStore.get_raw_many>`, which hands over
   the stored report bytes without decoding them) into
 
-  - ``store-hit`` -- the request fingerprint was memoized in-process and
-    the store holds the report;
+  - ``memory-hit`` -- the report sits in the tier-1 LRU, installed there
+    by the asking service's resize prewarm
+    (:func:`~repro.engine.core.cached_solution`);
+  - ``store-hit`` -- the request fingerprint was known (memoized
+    in-process, or the cell is materialized) and the store holds the
+    report;
   - ``alias-hit`` -- the fingerprint came from the persistent
     ``{"alias_of": ...}`` entry a previous process wrote; still zero DAG
     builds;
@@ -28,10 +34,14 @@ This module is the planning tier that replaces both:
   of the submitted batch size, so a warm 10k-cell grid with three cold
   cells forms three one-cell shards instead of pool-width monsters.
 
-No DAG is ever materialized here: classification runs on spec content
+It is the one place a batch is classified:
+:class:`~repro.engine.service.SweepService`,
+:class:`~repro.engine.async_service.AsyncSweepService` and the cluster
+router's local plan all call it.  No DAG is ever materialized here:
+classification runs on spec content
 (:meth:`~repro.scenarios.spec.ScenarioSpec.cell_digest`), the spec-key
-memo (:func:`~repro.engine.fingerprint.cached_spec_fingerprint`) and
-store payloads.  Pair with :func:`repro.scenarios.grid_diff` to know the
+memo (:func:`~repro.engine.fingerprint.alias_fingerprint`) and store
+payloads.  Pair with :func:`repro.scenarios.grid_diff` to know the
 gained/lost cells of an edited grid before even planning it.
 """
 
@@ -41,15 +51,15 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.engine.fingerprint import (
-    cached_spec_fingerprint,
-    record_spec_fingerprint,
-)
+from repro.engine.core import cached_solution
+from repro.engine.fingerprint import alias_fingerprint, record_alias_fingerprint
 from repro.engine.store import report_from_bytes
+from repro.scenarios.spec import ScenarioSpec
 
 __all__ = [
     "CELL_ALIAS_HIT",
     "CELL_MANIFEST_DONE",
+    "CELL_MEMORY_HIT",
     "CELL_PENDING",
     "CELL_STORE_HIT",
     "PlannedCell",
@@ -59,6 +69,7 @@ __all__ = [
 ]
 
 #: Cell classifications, in the order the tiers are consulted.
+CELL_MEMORY_HIT = "memory-hit"
 CELL_STORE_HIT = "store-hit"
 CELL_ALIAS_HIT = "alias-hit"
 CELL_MANIFEST_DONE = "manifest-done"
@@ -67,22 +78,37 @@ CELL_PENDING = "pending"
 
 @dataclass
 class PlannedCell:
-    """One unique cell's classification (see :func:`build_sweep_plan`)."""
+    """One unique cell's classification (see :func:`build_sweep_plan`).
 
-    #: Pre-materialization dedup identity (``spec_alias_key``).
-    alias: str
-    #: The declarative cell itself.
+    A materialized cell is the degenerate case: no alias, no spec, and its
+    :attr:`identity` is its request key.
+    """
+
+    #: Pre-materialization dedup identity (``spec_alias_key``); ``None``
+    #: for a materialized cell.
+    alias: Optional[str]
+    #: The declarative cell itself (``None`` for a materialized cell).
     spec: Any
-    #: Content digest of the spec (``spec.cell_digest()``).
+    #: Content digest of the spec (``spec.cell_digest()``; ``""`` for a
+    #: materialized cell).
     digest: str
     #: One of the ``CELL_*`` constants.
     status: str
     #: Resolved request fingerprint (``None`` for never-seen cells).
     key: Optional[str] = None
-    #: The store's report bytes for done cells (``None`` when pending), as
-    #: :meth:`~repro.engine.store.SolutionStore.get_raw_many` returns them.
+    #: The store's report bytes for store-answered cells (``None``
+    #: otherwise), as :meth:`~repro.engine.store.SolutionStore.get_raw_many`
+    #: returns them.
     payload: Optional[bytes] = field(default=None, repr=False)
+    #: The materialized problem (materialized cells only).
+    problem: Any = field(default=None, repr=False)
     _report: Any = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def identity(self) -> str:
+        """What dedups, claims and checkpoints the cell: its alias, else
+        (materialized) its request key."""
+        return self.alias if self.alias is not None else self.key
 
     @property
     def done(self) -> bool:
@@ -91,7 +117,8 @@ class PlannedCell:
 
     @property
     def report(self) -> Any:
-        """The stored report, decoded from :attr:`payload` on first access."""
+        """The answering report: a memory hit's, else decoded from
+        :attr:`payload` on first access."""
         if self._report is None and self.payload is not None:
             self._report = report_from_bytes(self.payload)
         return self._report
@@ -101,7 +128,7 @@ class PlannedCell:
 class SweepPlan:
     """A classified sweep: what the caches answer, what actually runs.
 
-    ``cells`` holds one :class:`PlannedCell` per unique alias in
+    ``cells`` holds one :class:`PlannedCell` per unique cell in
     submission order.  The plan is *advice plus evidence*: the services
     hand over the carried report bytes for done cells and shard only
     :attr:`pending`; the cluster router ships only :attr:`pending` over
@@ -142,6 +169,7 @@ class SweepPlan:
         """Classification histogram plus totals (for logs and metrics)."""
         return {
             "cells": len(self.cells),
+            "memory_hit": self.count(CELL_MEMORY_HIT),
             "store_hit": self.count(CELL_STORE_HIT),
             "alias_hit": self.count(CELL_ALIAS_HIT),
             "manifest_done": self.count(CELL_MANIFEST_DONE),
@@ -150,7 +178,8 @@ class SweepPlan:
 
     def summary(self) -> str:
         counts = self.counts()
-        return (f"{counts['cells']} cells: {counts['store_hit']} store-hit, "
+        return (f"{counts['cells']} cells: {counts['memory_hit']} memory-hit, "
+                f"{counts['store_hit']} store-hit, "
                 f"{counts['alias_hit']} alias-hit, "
                 f"{counts['manifest_done']} manifest-done, "
                 f"{counts['pending']} pending "
@@ -192,58 +221,75 @@ def build_sweep_plan(cells: Sequence[Tuple[str, Any]], method: str = "auto", *,
                      limits: Any = None,
                      validate: bool = True,
                      manifest_done: Optional[Iterable[str]] = None,
+                     prewarm_tag: Optional[str] = None,
                      **options: Any) -> SweepPlan:
-    """Classify a sweep's unique cells in one batched store pass.
+    """Classify a sweep's unique cells in one batched pass.
 
     Parameters
     ----------
     cells:
-        ``(alias, spec)`` pairs, one per unique cell in submission order
-        (the services' existing pre-materialization dedup).
+        One pair per unique cell in submission order: ``(alias, spec)``
+        for a :class:`~repro.scenarios.spec.ScenarioSpec` (the services'
+        pre-materialization dedup), ``(request key, problem)`` for a
+        materialized problem.
     store:
         The :class:`~repro.engine.store.SolutionStore` to consult; with
-        ``None`` every cell whose fingerprint is not memoized is simply
-        pending.
+        ``None`` every cell no memory tier answers is simply pending.
     manifest_done:
         Tokens a resume manifest recorded as completed.  Any of a cell's
         identities may match -- its alias, its resolved request
         fingerprint or its cell digest -- which is what lets v2
         (digest-keyed) and legacy v1 (request-keyed) manifests both
         drive resume.
+    prewarm_tag:
+        The asking service's prewarm mark: a cell whose report
+        :func:`~repro.engine.core.warm_solution_cache` installed under
+        it is a ``memory-hit`` and skips the store.
     method / limits / validate / options:
         The sweep's solve context (part of every fingerprint).
 
     Cells resolved through a persistent alias entry are recorded into
-    the in-process spec-key memo as a side effect, exactly as the
-    per-cell path did -- the next sweep in this process skips the store
-    round-trip for them.
+    the in-process spec-key memo as a side effect -- the next sweep in
+    this process skips the store round-trip for them.
     """
     marked: Set[str] = set(manifest_done or ())
     planned: List[PlannedCell] = []
-    memo_keys: Dict[str, Optional[str]] = {}
-    for alias, spec in cells:
-        memo_keys[alias] = cached_spec_fingerprint(
-            spec, method, limits=limits, validate=validate, **options)
-        planned.append(PlannedCell(alias=alias, spec=spec,
-                                   digest=spec.cell_digest(),
-                                   status=CELL_PENDING,
-                                   key=memo_keys[alias]))
+    for identity, item in cells:
+        if isinstance(item, ScenarioSpec):
+            planned.append(PlannedCell(alias=identity, spec=item,
+                                       digest=item.cell_digest(),
+                                       status=CELL_PENDING,
+                                       key=alias_fingerprint(identity)))
+        else:
+            planned.append(PlannedCell(alias=None, spec=None, digest="",
+                                       status=CELL_PENDING, key=identity,
+                                       problem=item))
 
-    if store is not None and planned:
-        # One batched pass: cells with a memoized fingerprint probe it
+    probing = planned
+    if prewarm_tag:
+        probing = []
+        for cell in planned:
+            report = (cached_solution(cell.key, prewarm_tag)
+                      if cell.key is not None else None)
+            if report is None:
+                probing.append(cell)
+                continue
+            cell.status = CELL_MEMORY_HIT
+            cell._report = report
+
+    if store is not None and probing:
+        # One batched pass: cells with a known fingerprint probe it
         # directly, the rest probe their alias entry (followed to its
         # target inside the store, still batched per shard).
         probes = [cell.key if cell.key is not None else cell.alias
-                  for cell in planned]
+                  for cell in probing]
         resolved = store.get_raw_many(probes)
-        for cell, probe in zip(planned, probes):
+        for cell, probe in zip(probing, probes):
             true_key, payload = resolved.get(probe, (None, None))
             via_alias = cell.key is None and true_key is not None
             if via_alias:
                 cell.key = true_key
-                record_spec_fingerprint(cell.spec, true_key, method,
-                                        limits=limits, validate=validate,
-                                        **options)
+                record_alias_fingerprint(cell.identity, true_key)
             if payload is None:
                 continue
             cell.payload = payload

@@ -13,8 +13,9 @@ Two concurrency patterns cover the experiment workloads:
 
 :meth:`Portfolio.map` additionally supports **sharded** execution
 (``shard_size=``): consecutive scenarios are grouped into one task per
-shard, amortising inter-process pickling over many scenarios -- the
-batching substrate of :class:`~repro.engine.service.SweepService`.
+shard, amortising inter-process pickling over many scenarios -- through
+the same shard worker (:meth:`Portfolio.spec_shard_task`) the sweep
+services run.
 
 Workers go through :func:`repro.engine.core.solve`, so every result carries
 the usual :class:`~repro.engine.core.SolveReport` certificate, and the
@@ -56,6 +57,7 @@ from repro.core.problem import MinResourceProblem
 from repro.engine.core import Problem, SolveLimits, SolveReport, normalize_problem, solve
 from repro.engine.registry import MIN_RESOURCE, candidate_solvers, get_solver
 from repro.engine.structure import analyze_dag
+from repro.scenarios import ScenarioSpec
 from repro.utils.validation import ValidationError, require
 
 __all__ = ["Portfolio", "PortfolioReport"]
@@ -67,72 +69,50 @@ def _solve_task(problem: Problem, method: str, limits: SolveLimits,
     return solve(problem, method=method, limits=limits, **options)
 
 
-def _solve_shard_task(problems: Sequence[Problem], method: str, limits: SolveLimits,
-                      options: Dict[str, Any], validate: bool = True,
-                      ) -> List[Tuple[Optional[SolveReport], Optional[str]]]:
-    """Batch worker: one ``(report, error)`` pair per scenario in the shard.
-
-    Dispatches to :func:`repro.engine.batch.solve_lp_batch`, which groups
-    the shard's scenarios by DAG fingerprint inside the worker process so
-    the structure probe and the LP model skeleton are paid once per group
-    instead of once per scenario.  Per-scenario failures are captured as
-    text instead of aborting the shard, so one bad scenario cannot lose
-    its shard-mates' results.
-    """
-    from repro.engine.batch import solve_lp_batch
-
-    return solve_lp_batch(problems, method=method, limits=limits,
-                          options=options, validate=validate)
-
-
-def _solve_spec_shard_task(spec_payloads: Sequence[Dict[str, Any]], method: str,
+def _solve_spec_shard_task(items: Sequence[Any], method: str,
                            limits: SolveLimits, options: Dict[str, Any],
                            validate: bool = True,
                            ) -> List[Tuple[Optional[str], Optional[SolveReport],
                                            Optional[str]]]:
-    """Spec-native batch worker: materialize lazily, solve, report keys.
+    """The shard worker: one ``(request_key, report, error)`` triple per item.
 
-    The shard arrives as plain :class:`~repro.scenarios.spec.ScenarioSpec`
-    payloads (a few hundred bytes each); the DAGs are built **here**, in
-    the worker, so a sweep's peak memory is one shard of DAGs regardless
-    of grid size.  Returns one ``(request_key, report, error)`` triple per
-    spec, in order: the worker learns each cell's true request fingerprint
-    as a by-product of materializing it, and the serving layers use it to
-    persist results and seed their spec-key memos/aliases.  Failures
-    (unknown generator, bad params, solve errors) are captured as text.
+    An item is a :class:`~repro.scenarios.spec.ScenarioSpec` payload (a
+    few hundred bytes), materialized **here**, in the worker, so a sweep's
+    peak memory is one shard of DAGs regardless of grid size -- the
+    worker learns the cell's request fingerprint as a by-product and
+    reports it, and the serving layers use it to persist results and seed
+    their spec-key memos/aliases.  Or an item is an already materialized
+    problem, whose key the caller holds (``None`` here).  The shard is
+    then solved through :func:`repro.engine.batch.solve_lp_batch`, which
+    groups it by DAG fingerprint so the structure probe and the LP model
+    skeleton are paid once per group.  Failures (unknown generator, bad
+    params, solve errors) are captured as text per item, so one bad item
+    cannot lose its shard-mates' results.
     """
     from repro.engine.batch import solve_lp_batch
     from repro.engine.core import request_key
-    from repro.scenarios import ScenarioSpec
 
     keys: List[Optional[str]] = []
     problems: List[Optional[Problem]] = []
     failures: List[Optional[str]] = []
-    for payload in spec_payloads:
-        try:
-            spec = ScenarioSpec.from_payload(payload)
-            problem = spec.materialize()
-            key = request_key(problem, method, limits=limits,
-                              validate=validate, **options)
-        except Exception as exc:  # noqa: BLE001 - reported per scenario
-            keys.append(None)
-            problems.append(None)
-            failures.append(f"{type(exc).__name__}: {exc}")
-            continue
+    for item in items:
+        key = failure = None
+        problem = item
+        if isinstance(item, dict):
+            try:
+                problem = ScenarioSpec.from_payload(item).materialize()
+                key = request_key(problem, method, limits=limits,
+                                  validate=validate, **options)
+            except Exception as exc:  # noqa: BLE001 - reported per item
+                problem, failure = None, f"{type(exc).__name__}: {exc}"
         keys.append(key)
         problems.append(problem)
-        failures.append(None)
-    live = [p for p in problems if p is not None]
-    solved = iter(solve_lp_batch(live, method=method, limits=limits,
+        failures.append(failure)
+    solved = iter(solve_lp_batch([p for p in problems if p is not None],
+                                 method=method, limits=limits,
                                  options=options, validate=validate))
-    results: List[Tuple[Optional[str], Optional[SolveReport], Optional[str]]] = []
-    for key, problem, failure in zip(keys, problems, failures):
-        if problem is None:
-            results.append((None, None, failure))
-            continue
-        report, error = next(solved)
-        results.append((key, report, error))
-    return results
+    return [(key, *next(solved)) if problem is not None else (None, None, failure)
+            for key, problem, failure in zip(keys, problems, failures)]
 
 
 @dataclass
@@ -259,7 +239,7 @@ class Portfolio:
         """Shut the persistent pool down and mark the portfolio closed.
 
         A closed portfolio raises :class:`RuntimeError` from every
-        solve/map/submit entry point (instead of failing deep inside a
+        solve/map/shard entry point (instead of failing deep inside a
         shut-down executor); :meth:`start` reopens it.
         """
         if self._pool is not None:
@@ -282,10 +262,9 @@ class Portfolio:
     def pool(self) -> Optional[Executor]:
         """The persistent executor opened by :meth:`start` (else ``None``).
 
-        Exposed for non-blocking front-ends (the asyncio serving layer)
-        that submit shard work through
-        ``loop.run_in_executor(portfolio.pool, *portfolio.shard_task(...))``
-        instead of blocking on :meth:`submit_shard` futures.
+        The sweep fronts submit :meth:`spec_shard_task` work to it: the
+        sync sweep through ``pool.submit``, the asyncio serving layer
+        through ``loop.run_in_executor(portfolio.pool, ...)``.
         """
         return self._pool
 
@@ -423,12 +402,12 @@ class Portfolio:
                       for i in range(0, len(problems), shard_size)]
             pool, transient = self._acquire_executor(len(shards))
             try:
-                futures = [pool.submit(_solve_shard_task, shard, method,
+                futures = [pool.submit(_solve_spec_shard_task, shard, method,
                                        self.limits, options)
                            for shard in shards]
                 results: List[Optional[SolveReport]] = []
                 for future in futures:
-                    for report, error in future.result():
+                    for _key, report, error in future.result():
                         if error is not None and not skip_errors:
                             raise ValidationError(f"sharded map scenario failed: {error}")
                         results.append(report)
@@ -453,70 +432,25 @@ class Portfolio:
             if transient:
                 pool.shutdown(wait=False, cancel_futures=True)
 
-    def shard_task(self, problems: Sequence[Problem], method: str = "auto",
-                   validate: bool = True, **options: Any) -> Tuple[Any, Tuple]:
+    def spec_shard_task(self, items: Sequence[Any], method: str = "auto",
+                        validate: bool = True, **options: Any) -> Tuple[Any, Tuple]:
         """Return ``(callable, args)`` solving one scenario shard.
 
-        The returned pair is executor-agnostic: pass it to any submission
-        primitive (``pool.submit(fn, *args)``,
-        ``loop.run_in_executor(pool, fn, *args)``).  This is the
-        non-blocking hook the asyncio serving layer
-        (:class:`~repro.engine.async_service.AsyncSweepService`) builds on;
-        the callable returns a list of ``(report, error_text)`` pairs, one
-        per scenario, in order.
-        """
-        self._require_open("shard_task()")
-        problems = [normalize_problem(p) for p in problems]
-        require(len(problems) > 0, "shard_task() needs at least one problem")
-        return _solve_shard_task, (problems, method, self.limits, options, validate)
-
-    def submit_shard(self, problems: Sequence[Problem], method: str = "auto",
-                     validate: bool = True, **options: Any) -> Future:
-        """Submit one scenario shard to the *persistent* pool (see start()).
-
-        Returns the :class:`~concurrent.futures.Future` of a list of
-        ``(report, error_text)`` pairs, one per scenario, in order.  This is
-        the streaming building block used by
-        :class:`~repro.engine.service.SweepService`, which consumes shard
-        futures as they complete rather than in submission order.
-        """
-        self._require_open("submit_shard()")
-        require(self._pool is not None,
-                "submit_shard() needs a persistent pool; call start() first "
-                "(or use the portfolio as a context manager)")
-        fn, args = self.shard_task(problems, method, validate, **options)
-        return self._pool.submit(fn, *args)
-
-    def spec_shard_task(self, specs: Sequence[Any], method: str = "auto",
-                        validate: bool = True, **options: Any) -> Tuple[Any, Tuple]:
-        """Return ``(callable, args)`` solving one *spec* shard lazily.
-
-        The spec-native counterpart of :meth:`shard_task`:  ``specs`` are
-        :class:`~repro.scenarios.spec.ScenarioSpec` objects (or their
-        payload dicts), shipped to the worker as plain JSON-able dicts --
-        DAGs are materialized inside the worker, never pickled across.
-        The callable returns ``(request_key, report, error_text)`` triples,
-        one per spec, in order.
+        ``items`` are :class:`~repro.scenarios.spec.ScenarioSpec` objects
+        (or their payload dicts), shipped to the worker as plain JSON-able
+        dicts -- their DAGs are materialized inside the worker, never
+        pickled across -- or materialized problems.  The pair is
+        executor-agnostic: pass it to any submission primitive
+        (``portfolio.pool.submit(fn, *args)`` in the sync sweep,
+        ``loop.run_in_executor(portfolio.pool, fn, *args)`` in the asyncio
+        front).  The callable returns ``(request_key, report,
+        error_text)`` triples, one per item, in order; ``request_key`` is
+        ``None`` for a problem (the caller holds it) and for an item that
+        failed before its key was known.
         """
         self._require_open("spec_shard_task()")
-        require(len(specs) > 0, "spec_shard_task() needs at least one spec")
-        payloads = [spec if isinstance(spec, dict) else spec.to_payload()
-                    for spec in specs]
+        require(len(items) > 0, "spec_shard_task() needs at least one item")
+        payloads = [item.to_payload() if isinstance(item, ScenarioSpec)
+                    else item for item in items]
         return _solve_spec_shard_task, (payloads, method, self.limits,
                                         options, validate)
-
-    def submit_spec_shard(self, specs: Sequence[Any], method: str = "auto",
-                          validate: bool = True, **options: Any) -> Future:
-        """Submit one spec shard to the *persistent* pool (see start()).
-
-        Returns the :class:`~concurrent.futures.Future` of the
-        ``(request_key, report, error_text)`` triples of
-        :meth:`spec_shard_task` -- the building block of the spec-native
-        :meth:`~repro.engine.service.SweepService.sweep` path.
-        """
-        self._require_open("submit_spec_shard()")
-        require(self._pool is not None,
-                "submit_spec_shard() needs a persistent pool; call start() "
-                "first (or use the portfolio as a context manager)")
-        fn, args = self.spec_shard_task(specs, method, validate, **options)
-        return self._pool.submit(fn, *args)

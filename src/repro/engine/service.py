@@ -13,10 +13,10 @@ in, and the service
 2. **consults the persistent store** -- scenarios already solved by any
    previous run, process or machine sharing the store are answered from
    disk without touching a solver;
-3. **shards the rest** -- pending scenarios are partitioned into shards
-   sized to the portfolio's worker pool
-   (:meth:`~repro.engine.portfolio.Portfolio.shard_plan`) and submitted to
-   its *warm* executors; inside each worker the shard is solved through
+3. **shards the rest** -- pending scenarios are claimed against other
+   processes, partitioned into shards sized from the plan
+   (:func:`~repro.engine.plan.recommend_shard_size`) and submitted to the
+   portfolio's *warm* executors; inside each worker the shard is solved through
    :func:`repro.engine.batch.solve_lp_batch`, which groups scenarios by
    DAG fingerprint so the structure probe and the LP model skeleton are
    paid once per group, not once per scenario (see
@@ -63,7 +63,7 @@ import os
 import time
 from concurrent.futures import as_completed
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Union
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.engine.core import (
     Problem,
@@ -74,9 +74,11 @@ from repro.engine.core import (
     normalize_problem,
     request_key,
 )
-from repro.engine.fingerprint import record_spec_fingerprint, spec_alias_key
+from repro.engine.fingerprint import record_alias_fingerprint, spec_alias_key
 from repro.engine.plan import (
     CELL_MANIFEST_DONE,
+    CELL_MEMORY_HIT,
+    PlannedCell,
     build_sweep_plan,
     recommend_shard_size,
 )
@@ -336,7 +338,257 @@ def _chunk(items: List, size: int) -> List[List]:
     return [items[i:i + size] for i in range(0, len(items), size)]
 
 
-class SweepService:
+def group_slots(identities: Sequence[str]) -> Dict[str, List[int]]:
+    """``{identity: slot indices}`` in first-occurrence order (batch dedup)."""
+    groups: Dict[str, List[int]] = {}
+    for index, identity in enumerate(identities):
+        groups.setdefault(identity, []).append(index)
+    return groups
+
+
+class ResumeManifest:
+    """The resume-manifest bookkeeping of one :class:`ShardExecutor`.
+
+    A sweep's manifest (``keys``: that sweep's cell identities) records
+    only what the sweep answered; a service-lifetime one (``keys=None``)
+    carries the loaded done set forward.  Planning matches cells against
+    ``tokens``: the loaded ones plus every identity marked since.
+    """
+
+    def __init__(self, path: str, method: str, *, durable: bool,
+                 keys: Optional[List[str]] = None):
+        state = load_manifest_state(path, method)
+        self.path = path
+        self.method = method
+        self.durable = durable
+        self.keys = keys
+        self.tokens = set(state.tokens)
+        self.done = set() if keys is not None else set(state.done)
+        self.cells = {} if keys is not None else dict(state.cells)
+
+    def mark(self, cell: PlannedCell, key: Optional[str]) -> None:
+        """Record one answered cell (flushed by the next :meth:`write`)."""
+        self.done.add(cell.identity)
+        self.tokens.update(t for t in (cell.identity, key, cell.digest) if t)
+        if cell.alias is not None:
+            self.cells[cell.alias] = {"cell": cell.digest, "key": key or ""}
+
+    def write(self, completed: bool) -> bool:
+        keys = self.keys if self.keys is not None else sorted(self.done)
+        return write_manifest(self.path, self.method, keys, self.done,
+                              completed, cells=self.cells,
+                              durable=self.durable)
+
+
+@dataclass
+class CellOutcome:
+    """How one planned cell was answered, ready for each of its slots."""
+
+    cell: PlannedCell
+    #: ``"memory"``, ``"store"``, ``"computed"`` or ``"failed"``.
+    source: str
+    #: The request fingerprint (a failed spec cell's alias if never learned).
+    key: str
+    report: Optional[SolveReport] = None
+    payload: Optional[bytes] = field(default=None, repr=False)
+    error: Optional[str] = None
+
+    def result(self, index: int, item: Any) -> SweepResult:
+        """Slot ``index``'s result; ``item`` is what the slot submitted (a
+        problem or a spec).  Each slot gets its own report copy."""
+        report = self.report
+        if report is not None:
+            report = _clone_report(report, from_cache=self.source == "memory",
+                                   cache_tier="memory")
+        spec = item if isinstance(item, ScenarioSpec) else None
+        return SweepResult(index=index, key=self.key,
+                           problem=None if spec is not None else item,
+                           report=report, source=self.source,
+                           error=self.error, spec=spec, payload=self.payload)
+
+
+class ShardExecutor:
+    """Claim, solve, persist: the execution half of both sweep fronts.
+
+    ``front`` is the service (its ``store``, ``portfolio`` and
+    ``validate``); counters land on ``stats``.  Every pending cell is
+    claimed under its plan identity, a contended cell is re-read from the
+    store before anyone solves it again (``dup_solves_avoided``), and a
+    solved shard's reports, spec alias entries, spec-key memo entries and
+    manifest checkpoint are persisted before any of its results is
+    delivered.
+    """
+
+    def __init__(self, front: Any, stats: Any,
+                 manifest: Optional[ResumeManifest] = None):
+        self.front = front
+        self.stats = stats
+        self.manifest = manifest
+
+    @property
+    def store(self) -> Optional[SolutionStore]:
+        return self.front.store
+
+    def _settled(self, cell: PlannedCell, source: str, key: str,
+                 **fields: Any) -> CellOutcome:
+        if self.manifest is not None and source != "failed":
+            self.manifest.mark(cell, key)
+        return CellOutcome(cell, source, key, **fields)
+
+    def answered(self, cell: PlannedCell) -> CellOutcome:
+        """Account one cell the plan answered from memory or the store."""
+        if cell.status == CELL_MEMORY_HIT:
+            self.stats.prewarm_hits += 1
+            return self._settled(cell, "memory", cell.key, report=cell.report)
+        self.stats.store_hits += 1
+        if cell.status == CELL_MANIFEST_DONE:
+            self.stats.resumed += 1
+        return self._settled(cell, "store", cell.key, payload=cell.payload)
+
+    def claim(self, cells: Sequence[PlannedCell]
+              ) -> Tuple[List[PlannedCell], List[PlannedCell]]:
+        """Claim each cell against other processes: ``(claimed, contended)``."""
+        store = self.store
+        won = [store is None or store.claim_solve(cell.identity) for cell in cells]
+        return ([cell for cell, ok in zip(cells, won) if ok],
+                [cell for cell, ok in zip(cells, won) if not ok])
+
+    def release(self, cells: Sequence[PlannedCell]) -> None:
+        store = self.store
+        if store is not None:
+            for cell in cells:
+                store.release_solve_claim(cell.identity)
+
+    def reread(self, cells: Sequence[PlannedCell]
+               ) -> Tuple[List[CellOutcome], List[PlannedCell]]:
+        """One batched store read over cells another process may have
+        solved since they were planned: ``(answered, still pending)``."""
+        store = self.store
+        if store is None or not cells:
+            return [], list(cells)
+        probes = [cell.key if cell.key is not None else cell.identity
+                  for cell in cells]
+        found = store.get_raw_many(probes)
+        answered: List[CellOutcome] = []
+        pending: List[PlannedCell] = []
+        for cell, probe in zip(cells, probes):
+            true_key, payload = found.get(probe, (None, None))
+            if payload is None:
+                pending.append(cell)
+                continue
+            if true_key is not None and cell.alias is not None:
+                record_alias_fingerprint(cell.alias, true_key)
+            self.stats.store_hits += 1
+            self.stats.dup_solves_avoided += 1
+            answered.append(self._settled(cell, "store",
+                                          true_key or cell.key or cell.identity,
+                                          payload=payload))
+        return answered, pending
+
+    def task(self, cells: Sequence[PlannedCell], method: str,
+             options: Dict[str, Any]) -> Tuple[Any, Tuple]:
+        """``(callable, args)`` solving one shard in a worker
+        (:meth:`Portfolio.spec_shard_task`)."""
+        self.stats.shards += 1
+        return self.front.portfolio.spec_shard_task(
+            [cell.spec if cell.spec is not None else cell.problem
+             for cell in cells],
+            method, validate=self.front.validate, **options)
+
+    def persist(self, cells: Sequence[PlannedCell],
+                triples: Sequence[Tuple[Optional[str], Optional[SolveReport],
+                                        Optional[str]]]) -> List[CellOutcome]:
+        """Persist one solved shard; its outcomes, ready to deliver."""
+        outcomes: List[CellOutcome] = []
+        for cell, (key, report, error) in zip(cells, triples):
+            if key is not None and cell.alias is not None:
+                record_alias_fingerprint(cell.alias, key)
+            key = key or cell.key or cell.identity
+            if report is None:
+                self.stats.failed += 1
+                outcomes.append(self._settled(cell, "failed", key, error=error))
+            else:
+                self.stats.computed += 1
+                outcomes.append(self._settled(cell, "computed", key, report=report))
+        store = self.store
+        if store is not None:
+            solved = [o for o in outcomes if o.report is not None]
+            store.put_reports([(o.key, o.report) for o in solved])
+            # The spec -> fingerprint aliases are what make the next
+            # plan's store lookups DAG-free.
+            aliases = [(o.cell.alias, {"alias_of": o.key}) for o in solved
+                       if o.cell.alias is not None]
+            if aliases:
+                store.put_many(aliases)
+        self.checkpoint(completed=False)
+        return outcomes
+
+    def checkpoint(self, completed: bool) -> None:
+        """Write the manifest (if any); a failed write is counted."""
+        if self.manifest is not None and not self.manifest.write(completed):
+            self.stats.manifest_write_errors += 1
+
+
+class SweepFront:
+    """What both sweep fronts share: a store (explicit, a path, or the
+    global one), a warm portfolio (owned when not given) and the solve
+    context baked into every request key -- an explicit ``limits`` is
+    pushed into the portfolio, else the portfolio's own are adopted."""
+
+    def __init__(self, store: Union[SolutionStore, str, None],
+                 portfolio: Optional[Portfolio], limits: Optional[SolveLimits],
+                 validate: bool, durable: bool):
+        self.durable = durable
+        if isinstance(store, str):
+            store = SolutionStore(store, durable=durable)
+        self._explicit_store = store
+        self._owns_portfolio = portfolio is None
+        self._portfolio = portfolio if portfolio is not None else Portfolio(executor="process")
+        self._started_pool = False
+        if limits is not None:
+            self.limits = limits
+            self._portfolio.limits = limits
+        else:
+            self.limits = self._portfolio.limits
+        self.validate = validate
+        self._closed = False
+
+    @property
+    def store(self) -> Optional[SolutionStore]:
+        """The store consulted and fed (explicit, else the global one)."""
+        if self._explicit_store is not None:
+            return self._explicit_store
+        return get_solution_store()
+
+    @property
+    def portfolio(self) -> Portfolio:
+        return self._portfolio
+
+    @property
+    def closed(self) -> bool:
+        """Has the front been closed?"""
+        return self._closed
+
+    def _warm_pool(self) -> Portfolio:
+        if self._portfolio.pool is None:
+            self._portfolio.start()
+            self._started_pool = True
+        return self._portfolio
+
+    def _close_pool(self) -> None:
+        """Shut down the worker pool the front owns or started (if any)."""
+        if self._owns_portfolio or self._started_pool:
+            self._portfolio.close()
+            self._started_pool = False
+
+    def _require_open(self) -> None:
+        if self._closed:
+            raise RuntimeError(
+                f"{type(self).__name__} is closed; create a new service (or "
+                "a new context manager block) to run further sweeps")
+
+
+class SweepService(SweepFront):
     """Deduplicating, store-backed, sharded scenario-sweep runner.
 
     Parameters
@@ -374,42 +626,12 @@ class SweepService:
                  validate: bool = True,
                  durable: bool = False):
         require(oversubscription > 0, "oversubscription must be positive")
-        self.durable = durable
-        if isinstance(store, str):
-            store = SolutionStore(store, durable=durable)
-        self._explicit_store = store
-        self._owns_portfolio = portfolio is None
-        self._portfolio = portfolio if portfolio is not None else Portfolio(executor="process")
-        self._started_pool = False
-        # Request keys and shard execution must agree on the limits: an
-        # explicit ``limits`` is pushed into the portfolio, otherwise the
-        # portfolio's own limits are adopted.
-        if limits is not None:
-            self.limits = limits
-            self._portfolio.limits = limits
-        else:
-            self.limits = self._portfolio.limits
+        super().__init__(store, portfolio, limits, validate, durable)
         self.oversubscription = oversubscription
-        self.validate = validate
         self.last_stats: Optional[SweepStats] = None
-        #: The classification of the most recent spec-native sweep
+        #: The classification of the most recent sweep
         #: (:class:`~repro.engine.plan.SweepPlan`), for observability.
         self.last_plan = None
-        self._closed = False
-
-    # ------------------------------------------------------------------
-    # lifecycle
-    # ------------------------------------------------------------------
-    @property
-    def store(self) -> Optional[SolutionStore]:
-        """The store consulted by sweeps (explicit, else the global one)."""
-        if self._explicit_store is not None:
-            return self._explicit_store
-        return get_solution_store()
-
-    @property
-    def portfolio(self) -> Portfolio:
-        return self._portfolio
 
     @staticmethod
     def kernel_info() -> dict:
@@ -425,12 +647,6 @@ class SweepService:
 
         return batch_kernel_info()
 
-    def _warm_pool(self) -> Portfolio:
-        if self._portfolio.pool is None:
-            self._portfolio.start()
-            self._started_pool = True
-        return self._portfolio
-
     def close(self) -> None:
         """Shut down the worker pool the service started (if any).
 
@@ -438,43 +654,14 @@ class SweepService:
         :meth:`sweep`/:meth:`run` instead of failing deep inside (or
         silently restarting) the executor.
         """
-        if self._owns_portfolio or self._started_pool:
-            self._portfolio.close()
-            self._started_pool = False
+        self._close_pool()
         self._closed = True
-
-    @property
-    def closed(self) -> bool:
-        """Has :meth:`close` been called on this service?"""
-        return self._closed
-
-    def _require_open(self) -> None:
-        if self._closed:
-            raise RuntimeError(
-                "SweepService is closed; create a new service (or a new "
-                "context manager block) to run further sweeps")
 
     def __enter__(self) -> "SweepService":
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
-
-    # ------------------------------------------------------------------
-    # manifest
-    # ------------------------------------------------------------------
-    def _load_manifest_state(self, path: str, method: str) -> ManifestState:
-        """Resume state recorded by a compatible (v1 or v2) manifest."""
-        return load_manifest_state(path, method)
-
-    def _write_manifest(self, path: str, method: str, keys: List[str],
-                        done: set, completed: bool, *,
-                        cells: Optional[Dict[str, Dict[str, str]]] = None,
-                        stats: Optional[SweepStats] = None) -> None:
-        ok = write_manifest(path, method, keys, done, completed,
-                            cells=cells, durable=self.durable)
-        if not ok and stats is not None:
-            stats.manifest_write_errors += 1
 
     # ------------------------------------------------------------------
     # sweeping
@@ -508,239 +695,61 @@ class SweepService:
         self._require_open()
         if isinstance(scenarios, ScenarioGrid):
             scenarios = scenarios.expand()
-        scenarios = list(scenarios)
-        if scenarios and isinstance(scenarios[0], ScenarioSpec):
-            require(all(isinstance(s, ScenarioSpec) for s in scenarios),
+        items: List[Any] = list(scenarios)
+        if items and isinstance(items[0], ScenarioSpec):
+            require(all(isinstance(s, ScenarioSpec) for s in items),
                     "do not mix ScenarioSpecs and materialized problems in "
                     "one sweep")
-            return self._sweep_specs_iter(scenarios, method,
-                                          manifest=manifest,
-                                          shard_size=shard_size, **options)
-        return self._sweep_iter(scenarios, method, manifest=manifest,
-                                shard_size=shard_size, **options)
+        else:
+            items = [normalize_problem(p) for p in items]
+        return self._sweep(items, method, manifest, shard_size, options)
 
-    def _sweep_iter(self, scenarios: Sequence[Problem], method: str, *,
-                    manifest: Optional[str], shard_size: Optional[int],
-                    **options: Any) -> Iterator[SweepResult]:
+    def _sweep(self, items: List[Any], method: str, manifest: Optional[str],
+               shard_size: Optional[int],
+               options: Dict[str, Any]) -> Iterator[SweepResult]:
         """The generator behind :meth:`sweep` (which checks closed-ness
-        eagerly, at call time rather than on first ``next()``)."""
+        eagerly, at call time rather than on first ``next()``): group the
+        slots by plan identity, plan, yield what the caches answer, then
+        claim, shard and persist the rest through the
+        :class:`ShardExecutor`."""
         start_time = time.perf_counter()
-        problems = [normalize_problem(p) for p in scenarios]
-        stats = SweepStats(scenarios=len(problems))
+        stats = SweepStats(scenarios=len(items))
         self.last_stats = stats
-
-        # -- dedup by request key ---------------------------------------
-        keys: List[str] = [
-            request_key(p, method, limits=self.limits, validate=self.validate,
-                        **options)
-            for p in problems
-        ]
-        groups: Dict[str, List[int]] = {}
-        unique_keys: List[str] = []
-        for index, key in enumerate(keys):
-            if key not in groups:
-                groups[key] = []
-                unique_keys.append(key)
-            groups[key].append(index)
-        stats.unique = len(unique_keys)
-        stats.duplicates = stats.scenarios - stats.unique
-
-        manifest_done = (self._load_manifest_state(manifest, method).tokens
-                         if manifest else set())
-        done: set = set()
-        store = self.store
-
-        # -- tier-2 lookup (one batched store pass) ---------------------
-        pending: List[str] = []
-        found = (store.get_raw_many(unique_keys)
-                 if store is not None else {})
-        try:
-            for key in unique_keys:
-                _resolved, payload = found.get(key, (None, None))
-                if payload is None:
-                    pending.append(key)
-                    continue
-                stats.store_hits += 1
-                if key in manifest_done:
-                    stats.resumed += 1
-                done.add(key)
-                for index in groups[key]:
-                    yield SweepResult(index=index, key=key,
-                                      problem=problems[index], report=None,
-                                      source="store", payload=payload)
-
-            # -- shard + compute ------------------------------------------
-            if pending:
-                portfolio = self._warm_pool()
-                size = shard_size or recommend_shard_size(
-                    len(pending), portfolio.worker_count(),
-                    oversubscription=self.oversubscription,
-                    hit_rate=stats.store_hits / stats.unique if stats.unique else 0.0)
-                stats.shard_size = size
-                shard_keys = _chunk(pending, size)
-                futures = {}
-                for shard in shard_keys:
-                    shard_problems = [problems[groups[key][0]] for key in shard]
-                    future = portfolio.submit_shard(shard_problems, method,
-                                                    validate=self.validate,
-                                                    **options)
-                    futures[future] = shard
-                stats.shards = len(futures)
-                try:
-                    for future in as_completed(futures):
-                        shard = futures.pop(future)
-                        outcomes = list(zip(shard, future.result()))
-                        # One bulk store write per completed shard, before
-                        # any result is yielded (a consumer closing the
-                        # generator must not lose this shard's persistence).
-                        if store is not None:
-                            store.put_reports([(key, report)
-                                               for key, (report, _err) in outcomes
-                                               if report is not None])
-                        for key, (report, error) in outcomes:
-                            problem = problems[groups[key][0]]
-                            if report is not None:
-                                stats.computed += 1
-                                done.add(key)
-                                source, err = "computed", None
-                            else:
-                                stats.failed += 1
-                                source, err = "failed", error
-                            for index in groups[key]:
-                                copy = (_clone_report(report, from_cache=False)
-                                        if report is not None else None)
-                                yield SweepResult(index=index, key=key,
-                                                  problem=problem,
-                                                  report=copy, source=source,
-                                                  error=err)
-                        if manifest:
-                            self._write_manifest(manifest, method, unique_keys,
-                                                 done, completed=False,
-                                                 stats=stats)
-                finally:
-                    for future in futures:
-                        future.cancel()
-        finally:
-            stats.wall_time = time.perf_counter() - start_time
-            if manifest:
-                completed = len(done) + stats.failed >= stats.unique
-                self._write_manifest(manifest, method, unique_keys, done,
-                                     completed=completed, stats=stats)
-        return stats
-
-    def _sweep_specs_iter(self, specs: List[ScenarioSpec], method: str, *,
-                          manifest: Optional[str], shard_size: Optional[int],
-                          **options: Any) -> Iterator[SweepResult]:
-        """The spec-native sweep generator (see :meth:`sweep`).
-
-        Phases:
-
-        1. **dedup, no DAGs** -- cells are grouped by
-           :func:`~repro.engine.fingerprint.spec_alias_key` (pure spec
-           content);
-        2. **plan, no DAGs** -- every unique cell is classified in one
-           batched store pass (:func:`~repro.engine.plan.build_sweep_plan`)
-           into store-hit / alias-hit / manifest-done / pending; done
-           cells are yielded immediately, and pending cells are claimed
-           against concurrent processes (a contended cell gets one more
-           store look -- ``dup_solves_avoided``);
-        3. **lazy compute** -- pending cells are sharded *as specs*
-           (:meth:`Portfolio.submit_spec_shard`) with a shard size picked
-           from the plan's pending count and measured hit rate; workers
-           materialize inside their shard and report each cell's request
-           fingerprint back, which is persisted as the alias the next
-           sweep's plan will hit.
-        """
-        start_time = time.perf_counter()
-        stats = SweepStats(scenarios=len(specs))
-        self.last_stats = stats
-
-        aliases: List[str] = [
-            spec_alias_key(spec, method, limits=self.limits,
+        groups = group_slots([
+            spec_alias_key(item, method, limits=self.limits,
                            validate=self.validate, **options)
-            for spec in specs
-        ]
-        groups: Dict[str, List[int]] = {}
-        unique_aliases: List[str] = []
-        for index, alias in enumerate(aliases):
-            if alias not in groups:
-                groups[alias] = []
-                unique_aliases.append(alias)
-            groups[alias].append(index)
-        stats.unique = len(unique_aliases)
+            if isinstance(item, ScenarioSpec)
+            else request_key(item, method, limits=self.limits,
+                             validate=self.validate, **options)
+            for item in items])
+        stats.unique = len(groups)
         stats.duplicates = stats.scenarios - stats.unique
+        book = (ResumeManifest(manifest, method, durable=self.durable,
+                               keys=list(groups)) if manifest else None)
+        executor = ShardExecutor(self, stats, book)
 
-        manifest_state = (self._load_manifest_state(manifest, method)
-                          if manifest else ManifestState())
-        done: set = set()
-        done_cells: Dict[str, Dict[str, str]] = {}
-        store = self.store
+        def deliver(outcome: CellOutcome) -> Iterator[SweepResult]:
+            for index in groups[outcome.cell.identity]:
+                yield outcome.result(index, items[index])
 
-        # -- the incremental planning tier: classify every unique cell in
-        #    one batched store pass before any shard is formed.
         plan = build_sweep_plan(
-            [(alias, specs[groups[alias][0]]) for alias in unique_aliases],
-            method, store=store, limits=self.limits, validate=self.validate,
-            manifest_done=manifest_state.tokens, **options)
+            [(identity, items[slots[0]]) for identity, slots in groups.items()],
+            method, store=executor.store, limits=self.limits,
+            validate=self.validate,
+            manifest_done=book.tokens if book is not None else None,
+            **options)
         self.last_plan = plan
-        cell_by_alias = {cell.alias: cell for cell in plan.cells}
-        claimed: List[str] = []
+        claimed: List[PlannedCell] = []
         try:
             for cell in plan.done:
-                stats.store_hits += 1
-                if cell.status == CELL_MANIFEST_DONE:
-                    stats.resumed += 1
-                done.add(cell.alias)
-                done_cells[cell.alias] = {"cell": cell.digest,
-                                          "key": cell.key or ""}
-                for index in groups[cell.alias]:
-                    yield SweepResult(index=index, key=cell.key, problem=None,
-                                      report=None, source="store",
-                                      spec=specs[index], payload=cell.payload)
-
-            pending = [cell.alias for cell in plan.pending]
-
-            # -- cross-process dedup: claim each pending cell; a cell some
-            #    live process already claimed gets one more (batched) store
-            #    look before we solve it ourselves -- if the claimant
-            #    finished, this sweep short-circuits to its report.
-            if store is not None and pending:
-                contended = {alias for alias in pending
-                             if not store.claim_solve(alias)}
-                claimed = [alias for alias in pending
-                           if alias not in contended]
-                if contended:
-                    recheck = store.get_raw_many(list(contended))
-                    still_pending: List[str] = []
-                    for alias in pending:
-                        if alias not in contended:
-                            still_pending.append(alias)
-                            continue
-                        true_key, payload = recheck.get(alias, (None, None))
-                        if payload is None:
-                            # Claimant still running (or died mid-solve):
-                            # solving it ourselves stays correct, just not
-                            # deduplicated.
-                            still_pending.append(alias)
-                            continue
-                        cell = cell_by_alias[alias]
-                        if true_key is not None:
-                            record_spec_fingerprint(
-                                cell.spec, true_key, method,
-                                limits=self.limits, validate=self.validate,
-                                **options)
-                        stats.store_hits += 1
-                        stats.dup_solves_avoided += 1
-                        done.add(alias)
-                        done_cells[alias] = {"cell": cell.digest,
-                                             "key": true_key or ""}
-                        for index in groups[alias]:
-                            yield SweepResult(
-                                index=index, key=true_key or alias,
-                                problem=None, report=None, source="store",
-                                spec=specs[index], payload=payload)
-                    pending = still_pending
-
+                yield from deliver(executor.answered(cell))
+            claimed, contended = executor.claim(plan.pending)
+            answered, unsolved = executor.reread(contended)
+            for outcome in answered:
+                yield from deliver(outcome)
+            # A claimant still running (or dead mid-solve) left ``unsolved``:
+            # solving those ourselves stays correct, just not deduplicated.
+            pending = claimed + unsolved
             if pending:
                 portfolio = self._warm_pool()
                 size = shard_size or recommend_shard_size(
@@ -750,71 +759,22 @@ class SweepService:
                 stats.shard_size = size
                 futures = {}
                 for shard in _chunk(pending, size):
-                    shard_specs = [specs[groups[alias][0]] for alias in shard]
-                    future = portfolio.submit_spec_shard(shard_specs, method,
-                                                         validate=self.validate,
-                                                         **options)
-                    futures[future] = shard
-                stats.shards = len(futures)
+                    fn, args = executor.task(shard, method, options)
+                    futures[portfolio.pool.submit(fn, *args)] = shard
                 try:
                     for future in as_completed(futures):
                         shard = futures.pop(future)
-                        outcomes = list(zip(shard, future.result()))
-                        # Persist reports AND the spec->key aliases before
-                        # yielding: the aliases are what make the *next*
-                        # sweep's store lookups DAG-free.
-                        if store is not None:
-                            store.put_reports(
-                                [(key, report)
-                                 for _alias, (key, report, _err) in outcomes
-                                 if report is not None])
-                            store.put_many(
-                                [(alias, {"alias_of": key})
-                                 for alias, (key, report, _err) in outcomes
-                                 if report is not None])
-                        for alias, (key, report, error) in outcomes:
-                            spec = specs[groups[alias][0]]
-                            if key is not None:
-                                record_spec_fingerprint(
-                                    spec, key, method, limits=self.limits,
-                                    validate=self.validate, **options)
-                            if report is not None:
-                                stats.computed += 1
-                                done.add(alias)
-                                done_cells[alias] = {
-                                    "cell": cell_by_alias[alias].digest,
-                                    "key": key or ""}
-                                source, err = "computed", None
-                            else:
-                                stats.failed += 1
-                                source, err = "failed", error
-                            for index in groups[alias]:
-                                copy = (_clone_report(report, from_cache=False)
-                                        if report is not None else None)
-                                yield SweepResult(index=index,
-                                                  key=key if key is not None else alias,
-                                                  problem=None, report=copy,
-                                                  source=source, error=err,
-                                                  spec=specs[index])
-                        if manifest:
-                            self._write_manifest(manifest, method,
-                                                 unique_aliases, done,
-                                                 completed=False,
-                                                 cells=done_cells,
-                                                 stats=stats)
+                        for outcome in executor.persist(shard, future.result()):
+                            yield from deliver(outcome)
                 finally:
                     for future in futures:
                         future.cancel()
         finally:
             stats.wall_time = time.perf_counter() - start_time
-            if store is not None:
-                for alias in claimed:
-                    store.release_solve_claim(alias)
-            if manifest:
-                completed = len(done) + stats.failed >= stats.unique
-                self._write_manifest(manifest, method, unique_aliases, done,
-                                     completed=completed, cells=done_cells,
-                                     stats=stats)
+            executor.release(claimed)
+            if book is not None:
+                executor.checkpoint(
+                    completed=len(book.done) + stats.failed >= stats.unique)
         return stats
 
     def run(self, scenarios: Union[Sequence[Problem], Sequence[ScenarioSpec],

@@ -11,8 +11,9 @@ other*:
   count, unique cells, expected dedup ratio;
 * **server-side** -- the ``metrics`` op polled before and after the run:
   deltas of the service counters (requests/deduped/store_hits/computed/
-  failed/cancelled), wire-layer :class:`~repro.serve.ServerStats`, and
-  the persistent store's counters.
+  failed/cancelled/prewarm_hits), wire-layer :class:`~repro.serve.ServerStats`,
+  the persistent store's counters and, behind a store-aware router, the
+  cells its plan answered itself (``planned_local``).
 
 :meth:`LoadReport.reconcile` is the consistency gate: the three views
 must agree request-for-request (client accepted == server requests
@@ -39,7 +40,11 @@ __all__ = ["LoadReport", "build_report", "percentile", "render_report"]
 
 #: Service counters whose before/after delta the report tracks.
 SERVICE_COUNTERS = ("requests", "batches", "deduped", "store_hits",
-                    "computed", "failed", "cancelled", "shards")
+                    "computed", "failed", "cancelled", "shards",
+                    "prewarm_hits")
+#: Router counters (``ClusterStats``) the report tracks; a single server
+#: has none, so they read 0.
+ROUTER_COUNTERS = ("planned_local",)
 #: Wire-layer counters (``ServerStats``) the report tracks.
 SERVER_COUNTERS = ("connections", "requests", "protocol_errors",
                    "oversized_lines", "rejections", "slow_reader_drops")
@@ -114,27 +119,33 @@ class LoadReport:
         ``accepted`` counts every sweep the server took on: delivered +
         solve-failed sweeps plus chaos disconnects (their sweeps run to
         completion server-side even though nobody reads the answer).
-        Rejected and wire-fault arrivals never reach the service.
+        Rejected and wire-fault arrivals never reach the service.  Behind
+        a store-aware router, the slots its plan answered from the shared
+        store (``planned_local``) never reach a runner either, so they
+        count on the server's side next to the runners' ``requests``.
         """
         problems = list(self.anomalies)
         service = self.server_delta["service"]
         server = self.server_delta["server"]
+        planned_local = self.server_delta.get("router", {}).get("planned_local", 0)
         accepted = (self.counts["accepted"]
                     + self.chaos.get("chaos-disconnect", {}).get("injected", 0))
-        if service["requests"] != accepted:
+        if service["requests"] + planned_local != accepted:
             problems.append(
-                f"server accepted {service['requests']} sweep slots but the "
-                f"client accounts for {accepted}")
+                f"server accepted {service['requests']} sweep slots "
+                f"(+{planned_local} planned by the router) but the client "
+                f"accounts for {accepted}")
         tier_sum = (service["deduped"] + service["store_hits"]
                     + service["computed"] + service["failed"]
-                    + service["cancelled"])
+                    + service["cancelled"] + service.get("prewarm_hits", 0))
         if tier_sum != service["requests"]:
             problems.append(
                 f"service tiers sum to {tier_sum} != requests delta "
                 f"{service['requests']} "
                 f"(deduped={service['deduped']} store_hits="
                 f"{service['store_hits']} computed={service['computed']} "
-                f"failed={service['failed']} cancelled={service['cancelled']})")
+                f"failed={service['failed']} cancelled={service['cancelled']} "
+                f"prewarm_hits={service.get('prewarm_hits', 0)})")
         if server["rejections"] != self.counts["rejected"]:
             problems.append(
                 f"server counted {server['rejections']} rejections, client "
@@ -257,6 +268,9 @@ def build_report(schedule: ArrivalSchedule,
                                   SERVICE_COUNTERS),
         "server": _counter_delta(metrics_before["server"],
                                  metrics_after["server"], SERVER_COUNTERS),
+        "router": _counter_delta(metrics_before.get("router") or {},
+                                 metrics_after.get("router") or {},
+                                 ROUTER_COUNTERS),
         "store": (_counter_delta(metrics_before["store"],
                                  metrics_after["store"],
                                  ("hits", "misses", "writes"))

@@ -213,6 +213,37 @@ def _normalize(problem: Problem) -> Problem:
 # the server
 # ---------------------------------------------------------------------------
 
+def parse_sweep_request(op: str, request: Dict[str, Any]
+                        ) -> Tuple[List[Any], str, Dict[str, Any]]:
+    """``(items, method, options)`` of one ``sweep`` / ``sweep_spec`` line.
+
+    ``sweep`` items are the wire problem payloads, still encoded;
+    ``sweep_spec`` items are the decoded :class:`ScenarioSpec` cells of
+    exactly one of ``grid`` or ``specs``.  Shared by the server and the
+    cluster router, so both fronts accept and refuse the same requests.
+    """
+    options = request.get("options") or {}
+    require(isinstance(options, dict), "'options' must be an object")
+    method = request.get("method", "auto")
+    if op == "sweep":
+        scenarios = request.get("scenarios")
+        require(isinstance(scenarios, list) and scenarios,
+                "sweep requests need a non-empty 'scenarios' list")
+        return scenarios, method, options
+    grid_payload = request.get("grid")
+    spec_payloads = request.get("specs")
+    require((grid_payload is None) != (spec_payloads is None),
+            "sweep_spec requests need exactly one of 'grid' or 'specs'")
+    if grid_payload is not None:
+        specs = list(ScenarioGrid.from_payload(grid_payload).expand())
+    else:
+        require(isinstance(spec_payloads, list) and spec_payloads,
+                "'specs' must be a non-empty list of spec payloads")
+        specs = [ScenarioSpec.from_payload(p) for p in spec_payloads]
+    require(len(specs) > 0, "the grid expands to zero cells")
+    return specs, method, options
+
+
 def _encode_line(message: Dict[str, Any]) -> bytes:
     """One response line: sorted keys, newline-terminated."""
     return json.dumps(message, sort_keys=True).encode() + b"\n"
@@ -545,10 +576,8 @@ class SweepServer:
                 metrics = self.service.snapshot()
                 metrics["server"] = vars(self.stats).copy()
                 await send({"id": request_id, "metrics": metrics})
-            elif op == "sweep":
-                await self._serve_sweep(request_id, request, send)
-            elif op == "sweep_spec":
-                await self._serve_sweep_spec(request_id, request, send)
+            elif op in ("sweep", "sweep_spec"):
+                await self._serve_sweep(request_id, op, request, send)
             elif op == "warm_cache":
                 await self._serve_warm_cache(request_id, request, send)
             else:
@@ -601,46 +630,22 @@ class SweepServer:
             await asyncio.gather(*[relay(i, f) for i, f in waiting])
             await send(done)
 
-    async def _serve_sweep(self, request_id: Any, request: Dict[str, Any],
-                           send) -> None:
+    async def _serve_sweep(self, request_id: Any, op: str,
+                           request: Dict[str, Any], send) -> None:
+        """Serve one ``sweep`` or ``sweep_spec``: submit, stream per cell."""
         if self._overloaded():
             await self._reject(request_id, send)
             return
-        scenarios = request.get("scenarios")
-        require(isinstance(scenarios, list) and scenarios,
-                "sweep requests need a non-empty 'scenarios' list")
-        options = request.get("options") or {}
-        require(isinstance(options, dict), "'options' must be an object")
-        problems = [problem_from_payload(p) for p in scenarios]
-        ticket = await self.service.submit(problems,
-                                           request.get("method", "auto"),
-                                           **options)
+        items, method, options = parse_sweep_request(op, request)
+        if op == "sweep_spec":
+            ticket = await self.service.submit_specs(items, method, **options)
+            await self._relay_ticket(
+                request_id, ticket, send,
+                extra_fields=lambda index: {"cell": items[index].cell_digest()})
+            return
+        ticket = await self.service.submit(
+            [problem_from_payload(p) for p in items], method, **options)
         await self._relay_ticket(request_id, ticket, send)
-
-    async def _serve_sweep_spec(self, request_id: Any, request: Dict[str, Any],
-                                send) -> None:
-        """Serve one spec-native sweep: expand, submit, stream per cell."""
-        if self._overloaded():
-            await self._reject(request_id, send)
-            return
-        grid_payload = request.get("grid")
-        spec_payloads = request.get("specs")
-        require((grid_payload is None) != (spec_payloads is None),
-                "sweep_spec requests need exactly one of 'grid' or 'specs'")
-        options = request.get("options") or {}
-        require(isinstance(options, dict), "'options' must be an object")
-        if grid_payload is not None:
-            specs = list(ScenarioGrid.from_payload(grid_payload).expand())
-        else:
-            require(isinstance(spec_payloads, list) and spec_payloads,
-                    "'specs' must be a non-empty list of spec payloads")
-            specs = [ScenarioSpec.from_payload(p) for p in spec_payloads]
-        require(len(specs) > 0, "the grid expands to zero cells")
-        ticket = await self.service.submit_specs(
-            specs, request.get("method", "auto"), **options)
-        await self._relay_ticket(
-            request_id, ticket, send,
-            extra_fields=lambda index: {"cell": specs[index].cell_digest()})
 
     async def _serve_warm_cache(self, request_id: Any,
                                 request: Dict[str, Any], send) -> None:

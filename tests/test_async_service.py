@@ -376,9 +376,7 @@ class TestClosedStateErrors:
         with pytest.raises(RuntimeError, match="closed"):
             portfolio.solve(problems[0])
         with pytest.raises(RuntimeError, match="closed"):
-            portfolio.submit_shard(problems)
-        with pytest.raises(RuntimeError, match="closed"):
-            portfolio.shard_task(problems)
+            portfolio.spec_shard_task(problems)
         # start() reopens the portfolio for reuse
         portfolio.start()
         try:

@@ -254,6 +254,81 @@ class TestScanRouted:
 
 
 # ---------------------------------------------------------------------------
+# prewarm state lives in the bounded caches
+# ---------------------------------------------------------------------------
+
+class TestBoundedPrewarm:
+    def test_warm_cache_keeps_every_table_within_the_lru_bounds(self, tmp_path):
+        """Warming more reports than the solution LRU holds leaves no
+        service-side table larger than the LRU bounds: the prewarm marks
+        live on the LRU entries, the aliases in the bounded memo."""
+        from repro.engine import core, fingerprint
+
+        store = SolutionStore(str(tmp_path / "store"))
+        spec = next(iter(GRID.expand()))
+
+        async def solve_once():
+            async with AsyncSweepService(
+                    store=store,
+                    portfolio=Portfolio(executor="thread",
+                                        max_workers=1)) as service:
+                return (await (await service.submit_specs([spec])).results())[0]
+
+        report = run_async(solve_once()).report
+        count = core._SOLUTION_CACHE.maxsize + 88
+        store.put_many([(f"fake-{i:04d}", report_to_payload(report, f"fake-{i:04d}"))
+                        for i in range(count)]
+                       + [(f"alias-{i:04d}", {"alias_of": f"fake-{i:04d}"})
+                          for i in range(count)])
+        clear_caches()
+        service = AsyncSweepService(
+            store=store, portfolio=Portfolio(executor="thread", max_workers=1))
+        outcome = service.warm_cache()
+        assert outcome == {"warmed": count + 1, "aliases": count + 1}
+        assert len(core._SOLUTION_CACHE) <= core._SOLUTION_CACHE.maxsize
+        assert len(fingerprint._SPEC_KEY_CACHE) <= fingerprint._SPEC_KEY_CACHE.maxsize
+        for name, table in vars(service).items():
+            if isinstance(table, (dict, set, list)):
+                assert len(table) <= core._SOLUTION_CACHE.maxsize, name
+
+    def test_evicted_prewarmed_keys_share_one_batched_store_read(self, tmp_path):
+        """A prewarmed key the LRU has since dropped is answered by the
+        plan's one batched store read, not by a read of its own."""
+        store_dir = str(tmp_path / "store")
+        specs = list(GRID.expand())[:3]
+        problems = [spec.materialize() for spec in specs]
+
+        async def populate():
+            async with AsyncSweepService(
+                    store=store_dir,
+                    portfolio=Portfolio(executor="thread",
+                                        max_workers=1)) as service:
+                await (await service.submit(problems)).results()
+
+        run_async(populate())
+        clear_caches()
+        store = SolutionStore(store_dir)
+        reads = []
+        real_read = store.get_raw_many
+        store.get_raw_many = lambda keys: reads.append(list(keys)) or real_read(keys)
+
+        async def body():
+            async with AsyncSweepService(
+                    store=store,
+                    portfolio=Portfolio(executor="thread",
+                                        max_workers=1)) as service:
+                assert service.warm_cache()["warmed"] == len(problems)
+                clear_caches()  # every prewarmed entry leaves the LRU
+                results = await (await service.submit(problems)).results()
+                return results, service.stats
+
+        results, stats = run_async(body())
+        assert [r.source for r in results] == ["store"] * len(problems)
+        assert stats.store_hits == len(problems) and stats.prewarm_hits == 0
+        assert len(reads) == 1 and len(reads[0]) == len(problems)
+
+
+# ---------------------------------------------------------------------------
 # the warm_cache wire op
 # ---------------------------------------------------------------------------
 

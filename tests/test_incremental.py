@@ -398,6 +398,64 @@ class TestSolveClaims:
         assert report.stats.computed == 0
         assert all(r.source == "store" for r in report.results)
 
+    def test_sync_materialized_dup_solve_short_circuits_to_store(
+            self, tmp_path, monkeypatch):
+        """The problem-path twin of the spec test above: a materialized
+        sweep claims its cells by request key, and one that loses its
+        claims to a finisher reads the finisher's reports instead."""
+        problems = [spec.materialize() for spec in make_specs([2, 3])]
+        with thread_service(tmp_path / "warm") as warm:
+            donor = {r.key: r.report for r in warm.run(problems).results}
+        clear_caches()
+        store = SolutionStore(str(tmp_path / "store"))
+
+        def lose_claim_to_a_finisher(key):
+            store.put(key, report_to_payload(donor[key], key))
+            return False
+
+        monkeypatch.setattr(store, "claim_solve", lose_claim_to_a_finisher)
+        with SweepService(store=store,
+                          portfolio=Portfolio(executor="thread",
+                                              max_workers=2)) as service:
+            report = service.run(problems)
+        assert report.stats.dup_solves_avoided == 2
+        assert report.stats.computed == 0 and report.stats.store_hits == 2
+        assert [r.source for r in report.results] == ["store", "store"]
+        assert [r.key for r in report.results] == list(donor)
+
+    def test_claim_name_is_the_plan_identity_whatever_the_memo_knows(
+            self, tmp_path, monkeypatch):
+        """A spec cell is claimed under its alias whether or not this
+        process has memoized its request fingerprint."""
+        from repro import request_key
+        from repro.engine.fingerprint import (record_spec_fingerprint,
+                                              spec_alias_key)
+
+        spec = make_specs([3])[0]
+        fingerprint = request_key(spec.materialize())
+        asked = {}
+        for memo in (False, True):
+            clear_caches()
+            if memo:
+                record_spec_fingerprint(spec, fingerprint)
+            store = SolutionStore(str(tmp_path / f"store-{memo}"))
+            names = asked[memo] = []
+            monkeypatch.setattr(
+                store, "claim_solve",
+                lambda name, claim=store.claim_solve, names=names:
+                    names.append(name) or claim(name))
+
+            async def body(store=store):
+                async with AsyncSweepService(
+                        store=store,
+                        portfolio=Portfolio(executor="thread",
+                                            max_workers=1)) as service:
+                    return await (await service.submit_specs([spec])).results()
+
+            (result,) = run_async(body())
+            assert result.source == "computed" and result.key == fingerprint
+        assert asked[False] == asked[True] == [spec_alias_key(spec, "auto")]
+
     def test_async_contended_cell_waits_then_reads(self, tmp_path):
         spec = make_specs([3])[0]
         with thread_service(tmp_path / "warm") as warm:

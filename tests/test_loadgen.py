@@ -301,6 +301,35 @@ class TestLiveLoad:
         lat = first.latency_ms
         assert lat["p50"] <= lat["p95"] <= lat["p99"] <= lat["max"]
 
+    def test_store_aware_router_runs_reconcile_cold_and_warm(self, tmp_path):
+        """Through a router planning against the shared store, a warm
+        replay is answered by the router itself (``planned_local``): those
+        slots count on the server side of the reconciliation, so the cold
+        and the warm replay both reconcile."""
+        from repro.cluster import ClusterClient, LocalCluster, RouterServer
+
+        schedule = build_schedule("poisson", rate=200.0, count=30,
+                                  num_cells=GRID.size(), skew=1.2, seed=3)
+        sock = str(tmp_path / "router.sock")
+
+        async def body():
+            async with LocalCluster(3, store_root=str(tmp_path / "store")) as cluster:
+                client = ClusterClient(cluster.addresses(),
+                                       store=cluster.store_view())
+                async with RouterServer(client, unix_socket=sock):
+                    cold = await run_load(schedule, GRID, unix_socket=sock,
+                                          connections=3, time_scale=0.0)
+                    warm = await run_load(schedule, GRID, unix_socket=sock,
+                                          connections=3, time_scale=0.0)
+                return cold, warm
+
+        cold, warm = run_async(body())
+        assert cold.reconcile() == [] and warm.reconcile() == []
+        assert warm.counts["ok"] == 30
+        assert warm.server_delta["router"]["planned_local"] == 30
+        assert warm.server_delta["service"]["requests"] == 0
+        assert warm.cells_solved == 0
+
     def test_cli_quick_run_exits_clean(self, tmp_path, capsys):
         from repro.loadgen.__main__ import main
 

@@ -355,3 +355,40 @@ class TestLazyReports:
         reports[0].allocation["mutated"] = 1.0
         assert "mutated" not in reports[2].allocation
         assert reports[0].makespan == reports[2].makespan
+
+
+# ---------------------------------------------------------------------------
+# one spec token per cell
+# ---------------------------------------------------------------------------
+
+class TestSpecTokens:
+    def test_warm_sweep_spec_builds_one_spec_token_per_cell(
+            self, tmp_path, monkeypatch):
+        """A warm 16-cell ``sweep_spec`` builds each cell's spec token once,
+        for its alias key; the plan probes the spec-key memo by that alias
+        instead of building the token again."""
+        from repro.engine import fingerprint
+
+        root, sock = str(tmp_path / "store"), str(tmp_path / "s.sock")
+        specs = _sp_specs(16)
+        build_token = fingerprint._spec_request_token
+        calls = []
+
+        def counting_token(*args, **kwargs):
+            calls.append(args[0])
+            return build_token(*args, **kwargs)
+
+        async def body():
+            async with _server(root, sock):
+                await _sweep(sock, specs, "cold")
+                await _sweep(sock, specs, "warm-up")
+                monkeypatch.setattr(fingerprint, "_spec_request_token",
+                                    counting_token)
+                lines, _ = await _sweep(sock, specs, "warm")
+                return lines
+
+        lines = run_async(body())
+        assert [line["source"] for line in lines] == ["store"] * 16
+        assert len(calls) == 16
+        assert sorted(spec.cell_digest() for spec in calls) == \
+            sorted(spec.cell_digest() for spec in specs)
