@@ -74,6 +74,7 @@ from repro.engine.core import (
     SolveReport,
     normalize_problem,
     request_key,
+    solution_cache_capacity,
     warm_solution_cache,
 )
 from repro.engine.fingerprint import record_alias_fingerprint, spec_alias_key
@@ -384,12 +385,14 @@ class AsyncSweepService(SweepFront):
         fingerprint.  The planner then answers warmed keys with
         ``source="memory"`` before any store probe -- that is the
         "zero-recompute handoff": the first post-join sweep of a moved key
-        range never leaves the process.  ``limit`` caps the number of
-        reports installed (alias mappings are always collected; they are
-        tiny).
+        range never leaves the process.  At most as many reports as the
+        LRU holds are installed (more would evict the call's own first
+        installs), and ``limit`` caps them further; the rest are not
+        decoded.  Alias mappings are always collected; they are tiny.
 
         Synchronous and idempotent; call it before the runner takes
-        traffic.  Returns ``{"warmed": installed, "aliases": learned}``.
+        traffic.  Returns ``{"warmed": installed, "aliases": learned}``;
+        every installed report is still in the LRU when the call returns.
         """
         store = self.store
         if store is None:
@@ -400,6 +403,9 @@ class AsyncSweepService(SweepFront):
             entries = store.scan_routed(ring, owner, include_aliases=True)
         else:
             entries = store.scan(include_aliases=True)
+        room = solution_cache_capacity()
+        if limit is not None:
+            room = min(room, limit)
         reports: List[Tuple[str, SolveReport]] = []
         aliases = 0
         for key, payload in entries:
@@ -407,7 +413,7 @@ class AsyncSweepService(SweepFront):
                 record_alias_fingerprint(key, payload["alias_of"])
                 aliases += 1
                 continue
-            if limit is not None and len(reports) >= limit:
+            if len(reports) >= room:
                 continue
             try:
                 report = report_from_payload(payload)

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Any, Dict, Iterable, Optional, Tuple, Union
 
 from repro.core.dag import TradeoffDAG
@@ -67,6 +68,7 @@ __all__ = [
     "get_solution_store",
     "cached_solution",
     "warm_solution_cache",
+    "solution_cache_capacity",
 ]
 
 Problem = Union[MinMakespanProblem, MinResourceProblem]
@@ -106,6 +108,11 @@ class SolveLimits:
     def cache_key(self) -> Tuple:
         return (self.max_exact_combinations, self.max_sp_budget,
                 self.exact_node_limit, self.time_limit)
+
+    @cached_property
+    def key_repr(self) -> str:
+        """``repr(self.cache_key())``, formatted once: the limits are frozen."""
+        return repr(self.cache_key())
 
 
 @dataclass
@@ -255,6 +262,12 @@ def warm_solution_cache(items: Iterable[Tuple[str, SolveReport]],
         if tag:
             cached.cache_tier = tag
     return count
+
+
+def solution_cache_capacity() -> int:
+    """How many reports the tier-1 LRU holds (a bulk warm-up that installs
+    more evicts its own first installs)."""
+    return _SOLUTION_CACHE.maxsize
 
 
 def normalize_problem(problem: Optional[Problem] = None, *,

@@ -42,6 +42,7 @@ resolves store keys without building a single DAG
 from __future__ import annotations
 
 import ast
+import functools
 import hashlib
 import json
 from typing import Any, Dict, Optional, Tuple
@@ -167,19 +168,35 @@ def request_fingerprint(problem_digest: str, method: str, limits_key: Tuple,
 _SPEC_KEY_CACHE = LRUCache(maxsize=4096)
 
 
+@functools.lru_cache(maxsize=1)
+def _default_limits_key() -> str:
+    """The limits key of a ``limits=None`` token: ``SolveLimits()``'s."""
+    from repro.engine.core import SolveLimits
+
+    return SolveLimits().key_repr
+
+
 def _spec_request_token(spec: Any, method: str, limits: Any, validate: bool,
                         options: Dict[str, Any]) -> str:
-    """The no-DAG identity of one spec-native solve request."""
-    from repro.engine.core import SolveLimits, _options_key
-    from repro.utils.validation import require
+    """The no-DAG identity of one spec-native solve request.
 
-    limits = limits if limits is not None else SolveLimits()
-    options_key = _options_key(dict(options))
-    require(not (options_key and options_key[0] == "__uncacheable__"),
-            "spec-native requests need content-keyable options; pass only "
-            "literal option values (str/int/float/bool/None and lists/tuples "
-            f"thereof) -- got {sorted(options)}")
-    return (f"{spec.cell_digest()}|{method}|{limits.cache_key()!r}|"
+    Built once per cell on the serving hot path, so the error message is
+    formatted only when the options cannot be keyed.
+    """
+    options_key: Tuple = ()
+    if options:
+        from repro.engine.core import _options_key
+
+        options_key = _options_key(dict(options))
+        if options_key and options_key[0] == "__uncacheable__":
+            from repro.utils.validation import ValidationError
+
+            raise ValidationError(
+                "spec-native requests need content-keyable options; pass "
+                "only literal option values (str/int/float/bool/None and "
+                f"lists/tuples thereof) -- got {sorted(options)}")
+    limits_key = limits.key_repr if limits is not None else _default_limits_key()
+    return (f"{spec.cell_digest()}|{method}|{limits_key}|"
             f"{options_key!r}|{validate!r}")
 
 

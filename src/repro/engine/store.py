@@ -97,7 +97,7 @@ from repro.engine.fingerprint import (
     solution_from_payload,
     solution_to_payload,
 )
-from repro.utils.validation import require
+from repro.utils.validation import ValidationError, require
 
 __all__ = [
     "STORE_SCHEMA_VERSION",
@@ -200,7 +200,9 @@ class _Found:
     payload's bytes, already decoded once to check them; ``spliceable``
     says whether those bytes are a report that may go on the wire
     verbatim (see :func:`_spliceable`).  ``entry`` is a payload dict of a
-    shard held decoded in memory (``__seq__`` included).
+    shard held decoded in memory (``__seq__`` included); its ``blob`` is
+    ``None`` until :meth:`SolutionStore._report_bytes` first encodes and
+    checks it.
     """
 
     __slots__ = ("alias_of", "blob", "spliceable", "entry")
@@ -217,9 +219,9 @@ class _Found:
         """The entry as the payload dict :meth:`SolutionStore.get` returns."""
         if self.alias_of is not None:
             return {"alias_of": self.alias_of}
-        if self.blob is not None:
-            return json.loads(self.blob)
-        return {k: v for k, v in self.entry.items() if k != "__seq__"}
+        if self.entry is not None:
+            return {k: v for k, v in self.entry.items() if k != "__seq__"}
+        return json.loads(self.blob)
 
 
 def _found_entry(entry: Optional[Dict[str, Any]]) -> Optional[_Found]:
@@ -715,6 +717,11 @@ class SolutionStore:
         #: instances opened through different paths still serialise.
         self._lock_root = os.path.realpath(self.root)
         self._shards: Dict[str, Dict[str, Any]] = {}
+        #: The lookup results of each shard in ``_shards``, by key: an
+        #: entry's report bytes are checked once, on their first read, like
+        #: a packed reader's (``_PackedShardReader.found``).  Dropped
+        #: whenever the shard's cached entries are replaced or dropped.
+        self._entry_found: Dict[str, Dict[str, _Found]] = {}
         #: Lazy binary readers: shard id -> reader (only shards whose sole
         #: on-disk form is packed v2; anything mixed falls back to a full
         #: decode).  Invalidated together with ``_shards``.
@@ -844,7 +851,10 @@ class SolutionStore:
         return held
 
     def _shard_id(self, key: str) -> str:
-        require(isinstance(key, str) and len(key) >= self.shard_width,
+        # Once per key of every lookup: the message is formatted only on
+        # failure.
+        if not isinstance(key, str) or len(key) < self.shard_width:
+            raise ValidationError(
                 f"store keys must be strings of >= {self.shard_width} chars")
         return key[:self.shard_width]
 
@@ -1020,9 +1030,15 @@ class SolutionStore:
                         <= entry.get("__seq__", 0)):
                     entries[key] = entry
         if self.cache_shards:
-            self._shards[shard_id] = entries
-            self._shard_sigs[shard_id] = signature
+            self._cache_entries(shard_id, entries, signature)
         return entries
+
+    def _cache_entries(self, shard_id: str, entries: Dict[str, Any],
+                       signature: Tuple) -> None:
+        """Hold one shard's decoded entries (and their on-disk identity)."""
+        self._shards[shard_id] = entries
+        self._entry_found.pop(shard_id, None)
+        self._shard_sigs[shard_id] = signature
 
     def _write_shard(self, shard_id: str, entries: Dict[str, Any]) -> None:
         """Rewrite one shard in the store's configured format (atomic).
@@ -1047,11 +1063,12 @@ class SolutionStore:
         self._readers.pop(shard_id, None)
         self._failed_readers.discard(shard_id)
         if self.cache_shards:
-            self._shards[shard_id] = entries
-            self._shard_sigs[shard_id] = self._shard_signature(shard_id)
+            self._cache_entries(shard_id, entries,
+                                self._shard_signature(shard_id))
 
     def _invalidate_shard(self, shard_id: str) -> None:
         self._shards.pop(shard_id, None)
+        self._entry_found.pop(shard_id, None)
         self._readers.pop(shard_id, None)
         self._failed_readers.discard(shard_id)
         self._shard_sigs.pop(shard_id, None)
@@ -1130,11 +1147,18 @@ class SolutionStore:
         The fast path: an open packed reader answers from its record
         table -- a binary search plus, the first time, one payload decode
         (none for alias entries) -- without a single ``stat``.  A shard
-        held decoded in memory answers from its dict; any other shard is
-        opened (packed) or fully decoded (JSON or mixed) first.
+        held decoded in memory answers from its dict, with each hit's
+        lookup result kept (``_entry_found``); any other shard is opened
+        (packed) or fully decoded (JSON or mixed) first.
         """
         if self.cache_shards and shard_id in self._shards:
-            return _found_entry(self._shards[shard_id].get(key))
+            memo = self._entry_found.setdefault(shard_id, {})
+            found = memo.get(key)
+            if found is None:
+                found = _found_entry(self._shards[shard_id].get(key))
+                if found is not None:
+                    memo[key] = found
+            return found
         reader = self._readers.get(shard_id)
         if reader is None:
             if self._shard_files(shard_id) != (False, True):
@@ -1215,25 +1239,29 @@ class SolutionStore:
         """The validated report bytes of an entry stored under ``key``, or
         ``None`` (counted in ``corrupt_shards``) when it is no report.
 
-        A shard held decoded in memory yields the bytes a packed write
-        would store (:func:`_pack_shard`'s encoding) and is checked on
-        every read; a packed payload was checked once, when its reader
-        first served it.
+        A packed payload was checked once, when its reader first served
+        it.  An entry of a shard held decoded in memory yields the bytes a
+        packed write would store (:func:`_pack_shard`'s encoding), checked
+        on its first read; the lookup result keeps them until the shard's
+        cached entries are replaced or dropped.
         """
-        blob, spliceable = found.blob, found.spliceable
-        if found.entry is not None:
-            payload = {k: v for k, v in found.entry.items() if k != "__seq__"}
-            try:
-                blob = json.dumps(payload, sort_keys=True,
-                                  separators=(",", ":")).encode("utf-8")
-                spliceable = _spliceable(key, blob, payload)
-            except (TypeError, ValueError):
-                spliceable = False
-        if not spliceable:
+        if found.entry is not None and found.blob is None:
+            with self._lock:
+                if found.blob is None:
+                    payload = {k: v for k, v in found.entry.items()
+                               if k != "__seq__"}
+                    try:
+                        blob = json.dumps(payload, sort_keys=True,
+                                          separators=(",", ":")).encode("utf-8")
+                        found.spliceable = _spliceable(key, blob, payload)
+                    except (TypeError, ValueError):
+                        blob, found.spliceable = b"", False
+                    found.blob = blob
+        if not found.spliceable:
             with self._lock:
                 self.corrupt_shards += 1
             return None
-        return blob
+        return found.blob
 
     def _raw_many(self, keys, *, batched: bool
                   ) -> Dict[str, Tuple[Optional[str], Optional[bytes]]]:
@@ -1854,6 +1882,7 @@ class SolutionStore:
         """Drop the in-memory shard cache (re-read other processes' writes)."""
         with self._lock:
             self._shards.clear()
+            self._entry_found.clear()
             self._readers.clear()
             self._failed_readers.clear()
             self._shard_sigs.clear()
@@ -1873,6 +1902,7 @@ class SolutionStore:
                     except OSError:
                         pass
             self._shards.clear()
+            self._entry_found.clear()
             self._readers.clear()
             self._failed_readers.clear()
             self._shard_sigs.clear()

@@ -102,6 +102,17 @@ class LoadReport:
         return 1.0 - self.schedule["unique_cells"] / accepted
 
     @property
+    def shared_hits(self) -> int:
+        """Slots answered without a solve of their own: deduplicated in
+        flight, store hits and prewarmed-memory hits on the runners, plus
+        the slots a store-aware router answered itself (``planned_local``;
+        0 on a single server)."""
+        service = self.server_delta["service"]
+        planned_local = self.server_delta.get("router", {}).get("planned_local", 0)
+        return int(service["deduped"] + service["store_hits"]
+                   + service.get("prewarm_hits", 0) + planned_local)
+
+    @property
     def cells_solved(self) -> int:
         """Fresh solves the run caused (service ``computed`` delta)."""
         return int(self.server_delta["service"]["computed"])
@@ -162,7 +173,6 @@ class LoadReport:
         This is the dict ``benchmarks/bench_serve_load.py`` writes as its
         ``--json`` artifact body, compared by ``tools/compare_bench.py``.
         """
-        service = self.server_delta["service"]
         return {
             "schedule_signature": self.schedule["signature"],
             "requests": self.counts["requests"],
@@ -173,7 +183,7 @@ class LoadReport:
             "dedup_ratio": round(self.dedup_ratio, 6),
             "cells_solved": self.cells_solved,
             "cells_per_request": round(self.cells_per_request, 6),
-            "shared_hits": int(service["deduped"] + service["store_hits"]),
+            "shared_hits": self.shared_hits,
             "protocol_errors": int(
                 self.server_delta["server"]["protocol_errors"]),
             "reconciled": not self.reconcile(),
@@ -320,9 +330,7 @@ def render_report(report: LoadReport) -> str:
              ["unique cells", sched["unique_cells"]],
              ["cells solved (server)", report.cells_solved],
              ["cells per request", round(report.cells_per_request, 4)],
-             ["shared hits (dedup+store)",
-              report.server_delta["service"]["deduped"]
-              + report.server_delta["service"]["store_hits"]],
+             ["shared hits (dedup+store+memory+router)", report.shared_hits],
              ["rejections (server)",
               report.server_delta["server"]["rejections"]],
              ["protocol errors (server)",

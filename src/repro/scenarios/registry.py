@@ -29,10 +29,11 @@ grid expansion would not see it.
 
 from __future__ import annotations
 
+from collections import abc
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
-from repro.utils.validation import require
+from repro.utils.validation import ValidationError, require
 
 __all__ = [
     "GeneratorSpec",
@@ -116,18 +117,21 @@ def validate_params(generator_id: str, schema: Mapping[str, Mapping[str, Any]],
     values raise :class:`~repro.utils.validation.ValidationError`.
     Defaults are filled in, sequences are canonicalised to lists (the JSON
     form) and the result is key-sorted -- the stable shape
-    :meth:`~repro.scenarios.spec.ScenarioSpec.cell_digest` hashes.
+    :meth:`~repro.scenarios.spec.ScenarioSpec.cell_digest` hashes.  Runs
+    once per decoded spec on the serving hot path, so each error message
+    is formatted only when its check fails.
     """
-    require(isinstance(params, Mapping),
-            f"generator {generator_id!r}: params must be a mapping, "
-            f"got {type(params).__name__}")
-    require("seed" not in params,
-            f"generator {generator_id!r}: pass seeds through the spec's "
-            "seed field, not inside params")
-    unknown = set(params) - set(schema)
-    require(not unknown,
-            f"generator {generator_id!r} does not accept params "
-            f"{sorted(unknown)}; schema: {sorted(schema)}")
+    if not isinstance(params, abc.Mapping):
+        raise ValidationError(f"generator {generator_id!r}: params must be a "
+                              f"mapping, got {type(params).__name__}")
+    if "seed" in params:
+        raise ValidationError(f"generator {generator_id!r}: pass seeds through "
+                              "the spec's seed field, not inside params")
+    if not schema.keys() >= params.keys():
+        unknown = set(params) - set(schema)
+        raise ValidationError(f"generator {generator_id!r} does not accept "
+                              f"params {sorted(unknown)}; schema: "
+                              f"{sorted(schema)}")
     canonical: Dict[str, Any] = {}
     for name in sorted(schema):
         entry = schema[name]
@@ -135,27 +139,27 @@ def validate_params(generator_id: str, schema: Mapping[str, Mapping[str, Any]],
             value = params[name]
         elif "default" in entry:
             value = entry["default"]
+        elif entry.get("required", True):
+            raise ValidationError(f"generator {generator_id!r} needs param "
+                                  f"{name!r}")
         else:
-            require(not entry.get("required", "default" not in entry),
-                    f"generator {generator_id!r} needs param {name!r}")
             continue
         kind = entry.get("type", "int")
         allowed = _PARAM_TYPES.get(kind)
-        require(allowed is not None,
-                f"generator {generator_id!r}: unknown schema type {kind!r} "
-                f"for param {name!r}")
-        ok = isinstance(value, allowed)
-        if kind in ("int", "float") and isinstance(value, bool):
-            ok = False
-        require(ok, f"generator {generator_id!r}: param {name!r} must be "
-                    f"{kind}, got {value!r}")
+        if allowed is None:
+            raise ValidationError(f"generator {generator_id!r}: unknown schema "
+                                  f"type {kind!r} for param {name!r}")
+        if not isinstance(value, allowed) or (
+                isinstance(value, bool) and kind in ("int", "float")):
+            raise ValidationError(f"generator {generator_id!r}: param {name!r} "
+                                  f"must be {kind}, got {value!r}")
         if kind == "seq":
             value = list(value)
         choices = entry.get("choices")
-        if choices is not None:
-            require(value in tuple(choices),
-                    f"generator {generator_id!r}: param {name!r} must be one "
-                    f"of {sorted(choices)}, got {value!r}")
+        if choices is not None and value not in tuple(choices):
+            raise ValidationError(f"generator {generator_id!r}: param {name!r} "
+                                  f"must be one of {sorted(choices)}, got "
+                                  f"{value!r}")
         canonical[name] = value
     return canonical
 
@@ -205,10 +209,11 @@ def unregister_generator(generator_id: str) -> Optional[GeneratorSpec]:
 
 def get_generator(generator_id: str) -> GeneratorSpec:
     """Look up a registered generator by id (raises on unknown ids)."""
-    require(generator_id in _REGISTRY,
-            f"unknown generator {generator_id!r}; registered: "
-            f"{sorted(_REGISTRY)}")
-    return _REGISTRY[generator_id]
+    spec = _REGISTRY.get(generator_id)
+    if spec is None:
+        raise ValidationError(f"unknown generator {generator_id!r}; "
+                              f"registered: {sorted(_REGISTRY)}")
+    return spec
 
 
 def generator_ids() -> List[str]:

@@ -33,13 +33,14 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+from collections import abc
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Mapping, Sequence, Tuple, Union
 
 from repro.core.dag import TradeoffDAG
 from repro.core.problem import MinMakespanProblem, MinResourceProblem
 from repro.scenarios.registry import get_generator
-from repro.utils.validation import require
+from repro.utils.validation import ValidationError, require
 
 __all__ = [
     "Axis",
@@ -61,6 +62,10 @@ OBJECTIVES = ("min_makespan", "min_resource")
 
 #: Declarative budget-rule names understood by :func:`normalize_budget_rule`.
 BUDGET_RULE_NAMES = ("const", "makespan-factor", "per-job")
+
+#: The fields of a spec payload (:meth:`ScenarioSpec.to_payload`).
+_PAYLOAD_FIELDS = frozenset(("generator", "params", "seed", "objective",
+                             "budget_rule"))
 
 #: DAG-build accounting; see :func:`materialization_info`.
 _COUNTERS = {"dag_builds": 0, "materializations": 0}
@@ -84,22 +89,35 @@ def reset_materialization_counters() -> None:
 
 
 def normalize_budget_rule(rule: Sequence[Any]) -> Tuple[str, float]:
-    """Validate a budget rule; returns the canonical ``(name, value)``."""
-    require(isinstance(rule, (tuple, list)) and len(rule) == 2,
+    """Validate a budget rule; returns the canonical ``(name, value)``.
+
+    Runs once per decoded spec, so each error message is formatted only
+    when its check fails.
+    """
+    if not (isinstance(rule, (tuple, list)) and len(rule) == 2):
+        raise ValidationError(
             f"budget_rule must be a (name, value) pair, got {rule!r}")
     name, value = rule
-    require(name in BUDGET_RULE_NAMES,
-            f"unknown budget rule {name!r}; known: {list(BUDGET_RULE_NAMES)}")
-    require(isinstance(value, (int, float)) and not isinstance(value, bool),
+    if name not in BUDGET_RULE_NAMES:
+        raise ValidationError(f"unknown budget rule {name!r}; known: "
+                              f"{list(BUDGET_RULE_NAMES)}")
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ValidationError(
             f"budget rule {name!r} needs a numeric value, got {value!r}")
-    require(value >= 0, f"budget rule {name!r} needs a non-negative value")
+    if not value >= 0:
+        raise ValidationError(f"budget rule {name!r} needs a non-negative value")
     return (str(name), float(value))
+
+
+#: The encoder behind :func:`_canonical_json`, built once: cell digests
+#: are taken for every decoded spec.
+_CANONICAL_ENCODER = json.JSONEncoder(sort_keys=True, allow_nan=False,
+                                      separators=(",", ":"))
 
 
 def _canonical_json(payload: Any) -> str:
     """The stable JSON form hashed by cell digests (sorted keys, no NaN)."""
-    return json.dumps(payload, sort_keys=True, allow_nan=False,
-                      separators=(",", ":"))
+    return _CANONICAL_ENCODER.encode(payload)
 
 
 def derive_cell_seed(base_seed: int, token: str) -> int:
@@ -131,14 +149,17 @@ class ScenarioSpec:
     budget_rule: Tuple[str, float] = ("const", 0.0)
 
     def __post_init__(self) -> None:
+        # Every error message below is formatted only when its check fails:
+        # the serving layers construct one spec per decoded wire cell.
         spec = get_generator(self.generator)
         object.__setattr__(self, "params", spec.validate_params(self.params))
-        require(isinstance(self.seed, int) and not isinstance(self.seed, bool)
-                and self.seed >= 0, f"seed must be a non-negative int, "
-                                    f"got {self.seed!r}")
-        require(self.objective in OBJECTIVES,
-                f"unknown objective {self.objective!r}; known: "
-                f"{list(OBJECTIVES)}")
+        seed = self.seed
+        if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+            raise ValidationError(
+                f"seed must be a non-negative int, got {seed!r}")
+        if self.objective not in OBJECTIVES:
+            raise ValidationError(f"unknown objective {self.objective!r}; "
+                                  f"known: {list(OBJECTIVES)}")
         object.__setattr__(self, "budget_rule",
                            normalize_budget_rule(self.budget_rule))
 
@@ -158,16 +179,18 @@ class ScenarioSpec:
     @classmethod
     def from_payload(cls, payload: Mapping[str, Any]) -> "ScenarioSpec":
         """Inverse of :meth:`to_payload` (raises ``ValidationError``)."""
-        require(isinstance(payload, Mapping),
-                "scenario spec payload must be an object")
-        unknown = set(payload) - {"generator", "params", "seed", "objective",
-                                  "budget_rule"}
-        require(not unknown,
-                f"scenario spec payload has unknown fields {sorted(unknown)}")
-        require(isinstance(payload.get("generator"), str),
+        if not isinstance(payload, abc.Mapping):
+            raise ValidationError("scenario spec payload must be an object")
+        if not _PAYLOAD_FIELDS.issuperset(payload):
+            raise ValidationError(
+                f"scenario spec payload has unknown fields "
+                f"{sorted(set(payload) - _PAYLOAD_FIELDS)}")
+        generator = payload.get("generator")
+        if not isinstance(generator, str):
+            raise ValidationError(
                 "scenario spec payload needs a string 'generator'")
         return cls(
-            generator=payload["generator"],
+            generator=generator,
             params=payload.get("params") or {},
             seed=payload.get("seed", 0),
             objective=payload.get("objective", "min_makespan"),

@@ -244,26 +244,56 @@ def parse_sweep_request(op: str, request: Dict[str, Any]
     return specs, method, options
 
 
+#: The encoder of every response line and value not spliced from stored
+#: bytes, built once: ``_ENCODER.encode(x)`` is ``json.dumps(x,
+#: sort_keys=True)``.
+_ENCODER = json.JSONEncoder(sort_keys=True)
+_encode_str = json.encoder.encode_basestring_ascii
+
+
 def _encode_line(message: Dict[str, Any]) -> bytes:
     """One response line: sorted keys, newline-terminated."""
-    return json.dumps(message, sort_keys=True).encode() + b"\n"
+    return _ENCODER.encode(message).encode() + b"\n"
 
 
-def _splice_report(fields: Dict[str, Any], report: bytes) -> bytes:
-    """:func:`_encode_line` of ``fields`` plus ``"report"``, with the
-    report's stored JSON bytes spliced in as they are.
+def _encode_value(value: Any) -> str:
+    """One JSON value, exactly as :func:`_encode_line` writes it."""
+    if type(value) is str:
+        return _encode_str(value)
+    if value is None:
+        return "null"
+    if type(value) is int:
+        return int.__repr__(value)
+    return _ENCODER.encode(value)
 
-    The store validated ``report`` before handing it over: it is a report
-    stored under this line's key, with no newline byte to break the line
-    framing.  Only the whitespace inside the report differs from
-    :func:`_encode_line` of the same value.
+
+class _SlotFramer:
+    """Frames the per-slot response lines of one sweep request.
+
+    A slot's line is :func:`_encode_line` of its fields -- ``cell`` (spec
+    path only), ``error``, ``id``, ``index``, ``key``, ``report`` and
+    ``source``, in that sorted order -- written from one fixed template,
+    with the report put in as bytes: a store hit's stored JSON bytes as
+    they are (the store validated them: a report stored under the line's
+    key, no newline byte), or a computed report's encoding.  Only the
+    whitespace inside a stored report differs.  The request id is encoded
+    once per request, each slot's values once per slot.
     """
-    before = {k: v for k, v in fields.items() if k < "report"}
-    after = {k: v for k, v in fields.items() if k > "report"}
-    members = [json.dumps(before, sort_keys=True)[1:-1].encode(),
-               b'"report": ' + report,
-               json.dumps(after, sort_keys=True)[1:-1].encode()]
-    return b"{" + b", ".join(m for m in members if m) + b"}\n"
+
+    def __init__(self, request_id: Any, cells: Optional[Sequence[str]] = None):
+        self.cells = cells
+        self._id_index = ', "id": ' + _encode_value(request_id) + ', "index": '
+
+    def line(self, index: int, result: Any, report: Optional[bytes]) -> bytes:
+        """Slot ``index``'s line: ``result``'s fields around ``report``
+        (stored or freshly encoded report bytes; ``None`` for no report)."""
+        cell = ("" if self.cells is None
+                else '"cell": ' + _encode_value(self.cells[index]) + ", ")
+        head = (f'{{{cell}"error": {_encode_value(result.error)}{self._id_index}'
+                f'{index}, "key": {_encode_value(result.key)}, "report": ')
+        tail = f', "source": {_encode_value(result.source)}}}\n'
+        return b"".join((head.encode(), b"null" if report is None else report,
+                         tail.encode()))
 
 
 @dataclass
@@ -589,29 +619,29 @@ class SweepServer:
                         "error": f"{type(exc).__name__}: {exc}"})
 
     async def _relay_ticket(self, request_id: Any, ticket, send,
-                            extra_fields=None) -> None:
+                            cells: Optional[Sequence[str]] = None) -> None:
         """Send one line per slot as it resolves, then ``done``.
 
         The single owner of the per-slot response shape for every sweep
-        flavour; ``extra_fields(index) -> dict`` contributes
-        flavour-specific fields (the spec path's ``"cell"`` digest).  The
-        lines of every slot already resolved leave in one write -- with
-        the ``done`` line when no slot is left, so an all-hit sweep costs
-        one write -- and slots still computing follow one line each.
+        flavour; ``cells`` adds the spec path's per-slot ``"cell"``
+        digests.  Every line comes from one :class:`_SlotFramer`: a store
+        hit's report is its stored bytes, a computed report is encoded
+        once.  The lines of every slot already resolved leave in one
+        write -- with the ``done`` line when no slot is left, so an
+        all-hit sweep costs one write -- and slots still computing follow
+        one line each.
         """
+        framer = _SlotFramer(request_id, cells)
+
         def line(index: int, result) -> bytes:
-            fields = {"id": request_id, "index": index, "key": result.key,
-                      "source": result.source, "error": result.error}
-            if extra_fields is not None:
-                fields.update(extra_fields(index))
-            if result.payload is not None:
+            report = result.payload
+            if report is not None:
                 self.stats.reports_spliced += 1
-                return _splice_report(fields, result.payload)
-            report = None
-            if result.report is not None:
+            elif result.report is not None:
                 self.stats.reports_encoded += 1
-                report = report_to_payload(result.report, result.key)
-            return _encode_line({**fields, "report": report})
+                report = _ENCODER.encode(
+                    report_to_payload(result.report, result.key)).encode()
+            return framer.line(index, result, report)
 
         async def relay(index: int, future: "asyncio.Future") -> None:
             await send(line(index, await future))
@@ -639,9 +669,8 @@ class SweepServer:
         items, method, options = parse_sweep_request(op, request)
         if op == "sweep_spec":
             ticket = await self.service.submit_specs(items, method, **options)
-            await self._relay_ticket(
-                request_id, ticket, send,
-                extra_fields=lambda index: {"cell": items[index].cell_digest()})
+            await self._relay_ticket(request_id, ticket, send,
+                                     [spec.cell_digest() for spec in items])
             return
         ticket = await self.service.submit(
             [problem_from_payload(p) for p in items], method, **options)

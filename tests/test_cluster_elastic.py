@@ -259,9 +259,11 @@ class TestScanRouted:
 
 class TestBoundedPrewarm:
     def test_warm_cache_keeps_every_table_within_the_lru_bounds(self, tmp_path):
-        """Warming more reports than the solution LRU holds leaves no
-        service-side table larger than the LRU bounds: the prewarm marks
-        live on the LRU entries, the aliases in the bounded memo."""
+        """Warming more reports than the solution LRU holds installs only
+        as many as it holds -- ``warmed`` is what stays resident -- while
+        every alias is still learned, and no service-side table grows
+        past the LRU bounds: the prewarm marks live on the LRU entries,
+        the aliases in the bounded memo."""
         from repro.engine import core, fingerprint
 
         store = SolutionStore(str(tmp_path / "store"))
@@ -284,7 +286,12 @@ class TestBoundedPrewarm:
         service = AsyncSweepService(
             store=store, portfolio=Portfolio(executor="thread", max_workers=1))
         outcome = service.warm_cache()
-        assert outcome == {"warmed": count + 1, "aliases": count + 1}
+        assert outcome == {"warmed": core._SOLUTION_CACHE.maxsize,
+                           "aliases": count + 1}
+        assert service.stats.prewarmed == outcome["warmed"]
+        resident = [key for key, _payload in store.scan()
+                    if core._SOLUTION_CACHE.peek(key) is not None]
+        assert len(resident) == outcome["warmed"]
         assert len(core._SOLUTION_CACHE) <= core._SOLUTION_CACHE.maxsize
         assert len(fingerprint._SPEC_KEY_CACHE) <= fingerprint._SPEC_KEY_CACHE.maxsize
         for name, table in vars(service).items():

@@ -13,6 +13,7 @@ import asyncio
 import json
 import math
 import random
+import re
 
 import pytest
 
@@ -25,6 +26,7 @@ from repro.loadgen import (
     build_report,
     build_schedule,
     percentile,
+    render_report,
     run_load,
 )
 from repro.loadgen.chaos import FAULT_DISCONNECT, FAULT_MALFORMED, FAULT_OVERSIZE
@@ -329,6 +331,11 @@ class TestLiveLoad:
         assert warm.server_delta["router"]["planned_local"] == 30
         assert warm.server_delta["service"]["requests"] == 0
         assert warm.cells_solved == 0
+        # Every warm slot was a shared answer -- the router's own.
+        assert warm.shared_hits == 30
+        assert warm.machine_independent()["shared_hits"] == 30
+        assert re.search(r"shared hits \(dedup\+store\+memory\+router\) +\| 30\b",
+                         render_report(warm))
 
     def test_cli_quick_run_exits_clean(self, tmp_path, capsys):
         from repro.loadgen.__main__ import main

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import request_key, spec_fingerprint
-from repro.engine.core import clear_caches
+from repro.engine.core import SolveLimits, clear_caches
 from repro.engine.fingerprint import (
     cached_spec_fingerprint,
     record_spec_fingerprint,
@@ -360,6 +360,210 @@ class TestSpecFingerprint:
                             budget_rule=("const", 4.0))
         with pytest.raises(ValidationError, match="content-keyable"):
             spec_fingerprint(spec, probe=object())
+
+
+#: Three cells covering the spec fields: defaulted params, a sequence
+#: param with a seed, min-resource, and every budget rule.
+PINNED_SPECS = {
+    "fork-join": ScenarioSpec("fork-join", {"width": 3, "work": 8},
+                              budget_rule=("const", 4.0)),
+    "staged": ScenarioSpec("staged-fork-join",
+                           {"stage_widths": [2, 3], "work": 12,
+                            "family": "kway"},
+                           seed=7, objective="min_resource",
+                           budget_rule=("makespan-factor", 1.5)),
+    "sp-random": ScenarioSpec("sp-random", {"num_jobs": 6}, seed=3,
+                              budget_rule=("per-job", 2)),
+}
+
+#: The solve contexts each identity is pinned under.
+PINNED_CONTEXTS = {
+    "default": {},
+    "limits": {"limits": SolveLimits(max_exact_combinations=500,
+                                     time_limit=2.5)},
+    "options": {"alpha": 0.25, "rounding": "floor"},
+    "no-validate": {"validate": False},
+}
+
+#: ``(cell_digest, {context: (spec_alias_key, spec_fingerprint)})``, as
+#: released stores hold them: a change here orphans every stored alias.
+PINNED_IDENTITIES = {
+    "fork-join": (
+        "5356a24c84c30511090902579618edafd2193030dc12590089b64e96d320e34c", {
+            "default": (
+                "0b09ccc922c82b5febbfbd953c562ea5257baa66973cfe9bdb3abf975592389f",
+                "0972738466976b67749a4fa178fc6ddc23567b10255c9ac94d5bb9e67fc00535"),
+            "limits": (
+                "ebf53f79fa6c505522b64154a4b02140fe1eb4957218f7e0dfe844405826c1a7",
+                "66b6b2f9b6b80a1e91b4a801b127ba75c42c85fc212a5693a0621db45fd5c8f5"),
+            "options": (
+                "d9fa6188c271ccf25f37827fd18429039f6379946ddf7e2b257345bbc7e2665b",
+                "0972738466976b67749a4fa178fc6ddc23567b10255c9ac94d5bb9e67fc00535"),
+            "no-validate": (
+                "6392a2712467bc843068ffc2f3e8ff7852e492efd307c7d43aa7ff18371fb57d",
+                "b1461d8a58b7ab733aa63e2ef4e84e25b73c48246386019126da667f928baf6b"),
+        }),
+    "staged": (
+        "fa52bfe0b0828cfb4c1128fd7e141831d3ecccc4b3f64a69364007d842a82697", {
+            "default": (
+                "ffe11a5fef42b95954457354a9bc2273729aceef9608431cddf6b062c8cf6571",
+                "de0ca4127e44c7223fa2659463864ba5e904e730a1e7115a6ce5f41743542bc7"),
+            "limits": (
+                "1079d63d8670f98a17188c15d6e2d76a184bb49af186c8a2feb3bb76f0b74168",
+                "4ac089f6c059d0da75a5b52f3bc454ccfba129680adaa0ac654d027402db3d01"),
+            "options": (
+                "e06f8571c63a40068eef75546bf0ede26e53c7fa68ef7d5bba199abb397e2dc9",
+                "de0ca4127e44c7223fa2659463864ba5e904e730a1e7115a6ce5f41743542bc7"),
+            "no-validate": (
+                "d44c43a60f72c40ae990ec9c7709144dbb3209b3e944c775d744a17208d35260",
+                "1b55ccb1fdde03c8364daded8b22587630a893adf94e0b537953a41f0444ce93"),
+        }),
+    "sp-random": (
+        "5d2fb38449daac1759726dd7524b617453f59a0a7ca75420daed4763339fbd82", {
+            "default": (
+                "b71170f96d2b53279ed7fe3e542c710a5e45516f6adebb95b53ba6f16a821653",
+                "7c0c0398af4168c5145972f53af81559e2aa183f4a8a26f16d3d3bceb1bd65fd"),
+            "limits": (
+                "6bbb059d68e9a560f70f77a4c5d7d259c3b8ed5798303f04468e5869d9604a48",
+                "d50566ff751be11f789bb2f6b6f43b80be67bdb6407baa0c4eb8f35327697b2f"),
+            "options": (
+                "293bcd835a232e7d72206e890acd549eb5829402bd39e3914504adf3fcd63e01",
+                "7c0c0398af4168c5145972f53af81559e2aa183f4a8a26f16d3d3bceb1bd65fd"),
+            "no-validate": (
+                "29799ba8cfb7a7d9aa91524684f0bba9052004d793723179032bcae766eeabea",
+                "8f0f99ccd8f28c5b70152e36d28aed0b4f480f07a075a8dc2ec22b8e8e8e2615"),
+        }),
+}
+
+
+class TestPinnedIdentities:
+    """Cell digests, alias keys and request fingerprints are store keys:
+    stores written by earlier releases must keep hitting."""
+
+    @pytest.mark.parametrize("name", sorted(PINNED_SPECS))
+    def test_cell_digest(self, name):
+        assert PINNED_SPECS[name].cell_digest() == PINNED_IDENTITIES[name][0]
+
+    @pytest.mark.parametrize("context", sorted(PINNED_CONTEXTS))
+    @pytest.mark.parametrize("name", sorted(PINNED_SPECS))
+    def test_alias_key_and_fingerprint(self, name, context):
+        clear_caches()
+        spec, kwargs = PINNED_SPECS[name], PINNED_CONTEXTS[context]
+        alias, fingerprint = PINNED_IDENTITIES[name][1][context]
+        assert spec_alias_key(spec, **kwargs) == alias
+        assert spec_fingerprint(spec, **kwargs) == fingerprint
+        # A fresh spec decoded from the wire form keys identically.
+        clone = ScenarioSpec.from_payload(spec.to_payload())
+        assert spec_alias_key(clone, **kwargs) == alias
+
+    def test_limits_objects_key_by_content(self):
+        """Equal limits objects (and ``None``) key alike, in any order."""
+        spec = PINNED_SPECS["fork-join"]
+        alias = PINNED_IDENTITIES["fork-join"][1]["default"][0]
+        for limits in (SolveLimits(), None, SolveLimits(max_sp_budget=4096)):
+            assert spec_alias_key(spec, limits=limits) == alias
+        assert spec_alias_key(spec, limits=SolveLimits(max_sp_budget=8)) != alias
+        assert spec_alias_key(spec, limits=None) == alias
+
+
+_FORK_JOIN = {"generator": "fork-join", "params": {"width": 2, "work": 8}}
+_STAGED = {"generator": "staged-fork-join",
+           "params": {"stage_widths": [2], "work": 8}}
+
+#: ``payload -> exact ValidationError text`` for rejected spec payloads.
+REJECTED_PAYLOADS = {
+    "unknown field": (
+        {**_FORK_JOIN, "budget": 1},
+        "scenario spec payload has unknown fields ['budget']"),
+    "not an object": (
+        ["fork-join"], "scenario spec payload must be an object"),
+    "no generator": (
+        {"params": {}}, "scenario spec payload needs a string 'generator'"),
+    "unknown generator": (
+        {"generator": "no-such-gen"},
+        "unknown generator 'no-such-gen'; registered: ['adversarial-3dm', "
+        "'adversarial-minresource-chain', 'adversarial-partition', "
+        "'adversarial-sat', 'chain', 'fork-join', 'layered-random', "
+        "'sp-balanced', 'sp-random', 'staged-fork-join']"),
+    "unknown params": (
+        {"generator": "fork-join",
+         "params": {"width": 2, "work": 8, "depth": 3, "alpha": 1}},
+        "generator 'fork-join' does not accept params ['alpha', 'depth']; "
+        "schema: ['family', 'width', 'work']"),
+    "missing param": (
+        {"generator": "fork-join", "params": {"width": 2}},
+        "generator 'fork-join' needs param 'work'"),
+    "mistyped param": (
+        {"generator": "fork-join", "params": {"width": "2", "work": 8}},
+        "generator 'fork-join': param 'width' must be int, got '2'"),
+    "True for an int": (
+        {"generator": "fork-join", "params": {"width": True, "work": 8}},
+        "generator 'fork-join': param 'width' must be int, got True"),
+    "float for an int": (
+        {"generator": "fork-join", "params": {"width": 2.0, "work": 8}},
+        "generator 'fork-join': param 'width' must be int, got 2.0"),
+    "mistyped sequence": (
+        {"generator": "chain", "params": {"lengths": "48"}},
+        "generator 'chain': param 'lengths' must be seq, got '48'"),
+    "outside choices": (
+        {"generator": "fork-join",
+         "params": {"width": 2, "work": 8, "family": "general"}},
+        "generator 'fork-join': param 'family' must be one of "
+        "['binary', 'kway'], got 'general'"),
+    "params not a mapping": (
+        {"generator": "fork-join", "params": [["width", 2]]},
+        "generator 'fork-join': params must be a mapping, got list"),
+    "seed inside params": (
+        {"generator": "staged-fork-join",
+         "params": {"stage_widths": [2], "work": 8, "seed": 1}},
+        "generator 'staged-fork-join': pass seeds through the spec's seed "
+        "field, not inside params"),
+    "malformed budget rule": (
+        {**_FORK_JOIN, "budget_rule": ["const"]},
+        "budget_rule must be a (name, value) pair, got ('const',)"),
+    "unknown budget rule": (
+        {**_FORK_JOIN, "budget_rule": ["fixed", 2]},
+        "unknown budget rule 'fixed'; known: "
+        "['const', 'makespan-factor', 'per-job']"),
+    "non-numeric budget rule": (
+        {**_FORK_JOIN, "budget_rule": ["const", "2"]},
+        "budget rule 'const' needs a numeric value, got '2'"),
+    "True as a budget": (
+        {**_FORK_JOIN, "budget_rule": ["const", True]},
+        "budget rule 'const' needs a numeric value, got True"),
+    "negative budget rule": (
+        {**_FORK_JOIN, "budget_rule": ["per-job", -1]},
+        "budget rule 'per-job' needs a non-negative value"),
+    "negative seed": (
+        {**_STAGED, "seed": -3}, "seed must be a non-negative int, got -3"),
+    "float seed": (
+        {**_STAGED, "seed": 1.0}, "seed must be a non-negative int, got 1.0"),
+    "True as a seed": (
+        {**_STAGED, "seed": True}, "seed must be a non-negative int, got True"),
+    "unknown objective": (
+        {**_FORK_JOIN, "objective": "max_flow"},
+        "unknown objective 'max_flow'; known: ['min_makespan', 'min_resource']"),
+}
+
+
+class TestExactValidationErrors:
+    """Every rejected spec keeps its error text word for word (clients
+    and logs match on it), however the checks are arranged."""
+
+    @pytest.mark.parametrize("case", sorted(REJECTED_PAYLOADS))
+    def test_rejected_payload(self, case):
+        payload, text = REJECTED_PAYLOADS[case]
+        with pytest.raises(ValidationError) as caught:
+            ScenarioSpec.from_payload(payload)
+        assert str(caught.value) == text
+
+    def test_non_literal_option(self):
+        with pytest.raises(ValidationError) as caught:
+            spec_alias_key(PINNED_SPECS["fork-join"], probe=object(), alpha=0.5)
+        assert str(caught.value) == (
+            "spec-native requests need content-keyable options; pass only "
+            "literal option values (str/int/float/bool/None and lists/tuples "
+            "thereof) -- got ['alpha', 'probe']")
 
 
 class TestWorkloadCatalog:

@@ -392,3 +392,173 @@ class TestSpecTokens:
         assert len(calls) == 16
         assert sorted(spec.cell_digest() for spec in calls) == \
             sorted(spec.cell_digest() for spec in specs)
+
+
+# ---------------------------------------------------------------------------
+# a runner's own writes are validated once
+# ---------------------------------------------------------------------------
+
+class TestSelfWrittenShards:
+    def test_each_entry_is_validated_once_per_handle(self, tmp_path, monkeypatch):
+        """A handle holds the shards it wrote decoded in memory; each
+        entry's report bytes are checked on their first read and reused
+        after, as a packed reader's are: three warm passes over an 8-cell
+        grid the service computed decode 8 solutions, not 24 -- the same
+        as a fresh service over the same store."""
+        root = str(tmp_path / "store")
+        specs = _sp_specs(8)
+        decode = store_module.solution_from_payload
+        calls = []
+
+        def counting(payload):
+            calls.append(payload)
+            return decode(payload)
+
+        async def passes(store, cold):
+            async with AsyncSweepService(
+                    store=store,
+                    portfolio=Portfolio(executor="thread",
+                                        max_workers=1)) as service:
+                if cold:
+                    await (await service.submit_specs(specs)).results()
+                monkeypatch.setattr(store_module, "solution_from_payload",
+                                    counting)
+                for _ in range(3):
+                    results = await (await service.submit_specs(specs)).results()
+                    assert [r.source for r in results] == ["store"] * 8
+                    assert all(r.payload is not None for r in results)
+                monkeypatch.setattr(store_module, "solution_from_payload", decode)
+
+        run_async(passes(SolutionStore(root), cold=True))
+        assert len(calls) == 8
+        calls.clear()
+        clear_caches()
+        run_async(passes(SolutionStore(root), cold=False))
+        assert len(calls) == 8
+
+    def test_a_rewritten_entry_is_validated_again(self, tmp_path):
+        store = SolutionStore(str(tmp_path / "store"), shard_format="json")
+        report = _stored_report()
+        key = "ab" + "0" * 62
+        store.put(key, store_module.report_to_payload(report, key))
+        blob = store.get_raw_many([key])[key][1]
+        assert blob is not None and store.get_raw_many([key])[key][1] is blob
+        store.put(key, {"key": key, "not": "a report"})
+        assert store.get_raw_many([key])[key] == (key, None)
+        assert store.corrupt_shards == 1
+
+
+# ---------------------------------------------------------------------------
+# one framer per request: the lines json.dumps would write
+# ---------------------------------------------------------------------------
+
+#: Request ids and errors that exercise JSON string escaping.
+AWKWARD_IDS = ['r"1\\\n é ☃', 7, None, ["a", 1.5], {"b": 1, "a": 'x"'}]
+AWKWARD_ERROR = 'ValueError: bad "quote" \\ back\nslash ü ☃'
+
+#: A report payload shaped like the store's (nested, floats, escapes).
+REPORT = {"key": "k" * 64, "solver_id": "series-parallel-dp",
+          "wall_time": 0.001, "parameter": 4.0, "structure": {"jobs": 3},
+          "certificate": {"passed": True, "notes": {"n": 'a "b"\n'}},
+          "solution": {"makespan": 2.5, "allocation": [["'s'", 1.0]],
+                       "metadata": {"é": 1e-300}}}
+
+
+def _expected_line(fields, report):
+    return json.dumps({**fields, "report": report}, sort_keys=True).encode() + b"\n"
+
+
+class TestSlotFramer:
+    @pytest.mark.parametrize("request_id", AWKWARD_IDS,
+                             ids=["escapes", "int", "null", "list", "object"])
+    @pytest.mark.parametrize("with_cell", [True, False], ids=["spec", "sweep"])
+    def test_lines_are_what_json_dumps_writes(self, request_id, with_cell):
+        from types import SimpleNamespace
+
+        from repro.serve import _ENCODER, _SlotFramer
+
+        cells = ["céll-0", 'c"1', "c\\2"] if with_cell else None
+        framer = _SlotFramer(request_id, cells)
+        stored = json.dumps(REPORT, sort_keys=True,
+                            separators=(",", ":")).encode()
+        slots = [  # (result, report bytes handed to the framer, report value)
+            (SimpleNamespace(key="k" * 64, source="store", error=None),
+             stored, REPORT),
+            (SimpleNamespace(key="kü", source="computed", error=None),
+             _ENCODER.encode(REPORT).encode(), REPORT),
+            (SimpleNamespace(key="alias", source="failed", error=AWKWARD_ERROR),
+             None, None),
+        ]
+        for index, (result, report_bytes, report) in enumerate(slots):
+            fields = {"id": request_id, "index": index, "key": result.key,
+                      "source": result.source, "error": result.error}
+            if with_cell:
+                fields["cell"] = cells[index]
+            line = framer.line(index, result, report_bytes)
+            assert line.endswith(b"\n") and line.count(b"\n") == 1
+            if report_bytes is stored:
+                # Spliced bytes: only the whitespace inside the report differs.
+                line = line.replace(stored, json.dumps(REPORT, sort_keys=True).encode())
+            assert line == _expected_line(fields, report)
+
+    def test_relay_frames_every_kind_of_slot(self):
+        """Through ``_relay_ticket``: a store hit, a computed report and a
+        failure, with awkward ids and errors, frame exactly as
+        ``json.dumps`` would, and the ``done`` line follows."""
+        from types import SimpleNamespace
+
+        from repro.engine.service import SweepResult
+        from repro.engine.store import report_from_payload, report_to_payload
+
+        stored_report = _stored_report()
+        payload = report_to_payload(stored_report, "k" * 64)
+        stored = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
+        computed = report_from_payload(payload)
+        results = [
+            SweepResult(index=0, key="k" * 64, problem=None, report=None,
+                        source="store", payload=stored),
+            SweepResult(index=1, key="k" * 64, problem=None, report=computed,
+                        source="computed"),
+            SweepResult(index=2, key='a"li\\as', problem=None, report=None,
+                        source="failed", error=AWKWARD_ERROR),
+        ]
+        request_id = AWKWARD_IDS[0]
+        cells = ["dé", "x", 'q"']
+        sent = []
+
+        async def body():
+            loop = asyncio.get_running_loop()
+            futures = [loop.create_future() for _ in results]
+            for future, result in zip(futures, results):
+                future.set_result(result)
+            server = SweepServer(AsyncSweepService(
+                portfolio=Portfolio(executor="thread", max_workers=1)))
+
+            async def send(message):
+                sent.append(message)
+
+            await server._relay_ticket(request_id, SimpleNamespace(futures=futures),
+                                       send, cells)
+            return server.stats
+
+        stats = run_async(body())
+        assert len(sent) == 1                    # all resolved: one write
+        lines = sent[0].splitlines(keepends=True)
+        expected_reports = [payload, report_to_payload(computed, "k" * 64), None]
+        for index, (line, result) in enumerate(zip(lines, results)):
+            fields = {"id": request_id, "index": index, "key": result.key,
+                      "source": result.source, "error": result.error,
+                      "cell": cells[index]}
+            line = line.replace(stored, json.dumps(payload, sort_keys=True).encode())
+            assert line == _expected_line(fields, expected_reports[index])
+        assert lines[3] == json.dumps({"id": request_id, "done": True, "count": 3,
+                                       "protocol": 1}, sort_keys=True).encode() + b"\n"
+        assert (stats.reports_spliced, stats.reports_encoded) == (1, 1)
+
+
+def _stored_report():
+    """A real report, solved once (a two-job fork-join)."""
+    clear_caches()
+    with SweepService(portfolio=Portfolio(executor="thread",
+                                          max_workers=1)) as service:
+        return service.run(_sp_specs(1)).results[0].report
