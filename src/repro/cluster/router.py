@@ -16,8 +16,10 @@ whatever the dead runner persisted before dying is answered from the
 store, not recomputed.
 
 :class:`RouterServer` wraps the same client as a standalone JSON-lines
-front (``python -m repro.cluster``), so unmodified single-server clients
+front (``python -m repro.cluster``) on :class:`repro.serve.LineServer`,
+the server core a runner runs too, so unmodified single-server clients
 (the load harness included) talk to the whole cluster through one socket.
+Every call to a runner goes through :class:`repro.serve.LineConnection`.
 
 ``metrics`` aggregates across runners: :func:`aggregate_metrics` sums
 every numeric counter leaf key-by-key and keeps the per-runner snapshots
@@ -32,7 +34,7 @@ import asyncio
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 from repro.cluster.ring import (DEFAULT_VNODES, HashRing, moved_key_subset,
                                 moved_keys)
@@ -43,7 +45,9 @@ from repro.engine.plan import build_sweep_plan
 from repro.engine.service import group_slots
 from repro.engine.store import SolutionStore
 from repro.scenarios import ScenarioGrid, ScenarioSpec
-from repro.serve import PROTOCOL_VERSION, parse_sweep_request, problem_to_payload
+from repro.serve import (PROTOCOL_VERSION, LineConnection, LineServer,
+                         parse_sweep_request, problem_to_payload,
+                         request_metrics, request_warm_cache)
 from repro.utils.validation import ValidationError, require
 
 __all__ = ["ClusterClient", "ClusterStats", "RouterServer",
@@ -184,43 +188,23 @@ class ClusterClient:
             self._unhealthy.discard(name)
             self.ring.add(name)
 
-    async def _open(self, address: RunnerAddress
-                    ) -> Tuple[asyncio.StreamReader, asyncio.StreamWriter]:
-        if address.unix_socket:
-            return await asyncio.open_unix_connection(address.unix_socket)
-        return await asyncio.open_connection(address.host, address.port)
-
     async def check_health(self, timeout: float = 5.0) -> Dict[str, bool]:
         """Ping every registered runner; update ring membership to match.
 
         A runner that answers rejoins the ring (deterministically regaining
         exactly its old key range); one that does not leaves it.
         """
-        async def probe(name: str, address: RunnerAddress) -> bool:
+        async def probe(address: RunnerAddress) -> bool:
             try:
-                reader, writer = await asyncio.wait_for(
-                    self._open(address), timeout)
-            except (ConnectionError, OSError, asyncio.TimeoutError):
+                reply = await asyncio.wait_for(LineConnection.request_once(
+                    {"op": "ping", "id": "hc"}, **address.client_kwargs),
+                    timeout)
+            except (asyncio.TimeoutError, OSError, ValueError):
                 return False
-            try:
-                writer.write(json.dumps({"op": "ping", "id": "hc"}).encode()
-                             + b"\n")
-                await writer.drain()
-                line = await asyncio.wait_for(reader.readline(), timeout)
-                return bool(line) and bool(json.loads(line).get("pong"))
-            except (ConnectionError, OSError, asyncio.TimeoutError,
-                    json.JSONDecodeError):
-                return False
-            finally:
-                writer.close()
-                try:
-                    await writer.wait_closed()
-                except (ConnectionError, OSError):
-                    pass
+            return bool(reply.get("pong"))
 
         names = list(self.runners)
-        alive = await asyncio.gather(*[probe(n, self.runners[n])
-                                       for n in names])
+        alive = await asyncio.gather(*[probe(self.runners[n]) for n in names])
         for name, ok in zip(names, alive):
             if ok:
                 self._mark_healthy(name)
@@ -274,9 +258,11 @@ class ClusterClient:
         warm = {"warmed": 0, "aliases": 0}
         if prewarm:
             try:
-                warm = await self._warm_one(address.name, limit=warm_limit)
-            except (ConnectionError, OSError, asyncio.TimeoutError,
-                    json.JSONDecodeError, ValidationError) as exc:
+                warm = await asyncio.wait_for(request_warm_cache(
+                    **address.client_kwargs, ring=self._full_ring.to_payload(),
+                    owner=address.name, limit=warm_limit,
+                    request_id=f"warm-{address.name}"), self.request_timeout)
+            except (asyncio.TimeoutError, OSError, ValueError) as exc:
                 warm = {"warmed": 0, "aliases": 0,
                         "error": f"{type(exc).__name__}: {exc}"}
         self.ring.add(address.name)
@@ -310,35 +296,6 @@ class ClusterClient:
         return {"runner": name, "action": "remove",
                 "ring_version": self.stats.ring_version,
                 "cells_moved": moved}
-
-    async def _warm_one(self, name: str, *,
-                        limit: Optional[int] = None) -> Dict[str, Any]:
-        """Tell one runner to prewarm its full-ring key range."""
-        address = self.runners[name]
-        reader, writer = await self._open(address)
-        try:
-            payload: Dict[str, Any] = {
-                "op": "warm_cache", "id": f"warm-{name}",
-                "ring": self._full_ring.to_payload(), "owner": name}
-            if limit is not None:
-                payload["limit"] = limit
-            writer.write(json.dumps(payload).encode() + b"\n")
-            await writer.drain()
-            line = await asyncio.wait_for(reader.readline(),
-                                          self.request_timeout)
-            require(bool(line), "runner closed the connection mid-warm")
-            response = json.loads(line)
-            if response.get("error"):
-                raise ValidationError(
-                    f"runner {name!r} warm_cache error: {response['error']}")
-            return {"warmed": int(response.get("warmed", 0)),
-                    "aliases": int(response.get("aliases", 0))}
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
 
     # ------------------------------------------------------------------
     # sweeps
@@ -535,56 +492,25 @@ class ClusterClient:
         A *request-level* error line from the runner (bad payload,
         admission rejection) raises -- that is a deterministic answer, not
         a dead runner, and re-routing it would just repeat it elsewhere.
+        A rejection raises :class:`~repro.serve.Rejected`, which a
+        :class:`RouterServer` relays as its own ``rejected`` line.
         """
         self._sub_ids += 1
-        sub_id = f"cluster-{self._sub_ids}"
-        payload = {"op": op, "id": sub_id,
+        payload = {"op": op, "id": f"cluster-{self._sub_ids}",
                    field: [payloads[i] for i in indices],
                    "method": method, "options": options or {}}
         try:
-            return await asyncio.wait_for(
-                self._fan_stream(name, sub_id, payload, indices, deliver),
+            await asyncio.wait_for(LineConnection.request_once(
+                payload, **self.runners[name].client_kwargs,
+                on_line=lambda line: deliver(indices[line["index"]], name, line)),
                 self.request_timeout)
-        except (ConnectionError, OSError) as exc:
-            return f"connection failed: {exc}"
         except asyncio.TimeoutError:
             return f"no answer within {self.request_timeout}s"
-        except asyncio.IncompleteReadError:  # pragma: no cover - readline EOF
-            return "connection closed mid-stream"
-
-    async def _fan_stream(self, name: str, sub_id: str,
-                          payload: Dict[str, Any], indices: List[int],
-                          deliver: Callable[[int, str, Dict[str, Any]], None],
-                          ) -> Optional[str]:
-        reader, writer = await self._open(self.runners[name])
-        try:
-            writer.write(json.dumps(payload).encode() + b"\n")
-            await writer.drain()
-            while True:
-                line = await reader.readline()
-                if not line:
-                    return "runner closed the connection mid-sweep"
-                response = json.loads(line)
-                if response.get("id") != sub_id:
-                    continue  # protocol notices ({"id": null, ...})
-                if response.get("rejected"):
-                    raise ValidationError(
-                        f"runner {name!r} rejected the sweep: "
-                        f"{response.get('error')}")
-                if "index" in response:
-                    deliver(indices[response["index"]], name, response)
-                    continue
-                if response.get("error"):
-                    raise ValidationError(
-                        f"runner {name!r} request error: {response['error']}")
-                if response.get("done"):
-                    return None
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+        except (ConnectionError, OSError) as exc:
+            return f"connection failed: {exc}"
+        except ValidationError as exc:  # Rejected stays Rejected
+            raise type(exc)(f"runner {name!r}: {exc}") from None
+        return None
 
     # ------------------------------------------------------------------
     # metrics
@@ -602,10 +528,10 @@ class ClusterClient:
         snapshots: Dict[str, Dict[str, Any]] = {}
         for name in list(self.healthy):
             try:
-                snapshots[name] = await asyncio.wait_for(
-                    self._metrics_one(name), self.request_timeout)
-            except (ConnectionError, OSError, asyncio.TimeoutError,
-                    json.JSONDecodeError):
+                snapshots[name] = await asyncio.wait_for(request_metrics(
+                    **self.runners[name].client_kwargs,
+                    request_id="cluster-metrics"), self.request_timeout)
+            except (asyncio.TimeoutError, OSError):
                 self._mark_unhealthy(name)
         require(len(snapshots) > 0, "no healthy runners answered metrics")
         aggregate = aggregate_metrics(snapshots)
@@ -613,30 +539,6 @@ class ClusterClient:
         aggregate["router"]["affinity"] = round(self.stats.affinity(), 6)
         aggregate["router"]["healthy_runners"] = len(self.healthy)
         return aggregate
-
-    async def _metrics_one(self, name: str) -> Dict[str, Any]:
-        reader, writer = await self._open(self.runners[name])
-        try:
-            writer.write(json.dumps({"op": "metrics",
-                                     "id": "cluster-metrics"}).encode()
-                         + b"\n")
-            await writer.drain()
-            line = await reader.readline()
-            require(bool(line), "runner closed the connection mid-request")
-            response = json.loads(line)
-            if response.get("error"):
-                raise ValidationError(f"runner {name!r} metrics error: "
-                                      f"{response['error']}")
-            metrics = response.get("metrics")
-            require(isinstance(metrics, dict),
-                    "metrics reply must carry a 'metrics' object")
-            return metrics
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
 
 
 def _merge_leaves(values: List[Any]) -> Any:
@@ -693,147 +595,60 @@ def aggregate_metrics(snapshots: Dict[str, Dict[str, Any]]
 # the standalone router front
 # ---------------------------------------------------------------------------
 
-class RouterServer:
+class RouterServer(LineServer):
     """``python -m repro.cluster``: the router as a JSON-lines server.
 
-    Speaks the same protocol as :class:`~repro.serve.SweepServer` (ops
-    ``sweep``, ``sweep_spec``, ``metrics``, ``stats``, ``ping``), so any
-    single-server client -- :func:`repro.serve.request_sweep_spec`, the
-    load harness -- talks to the whole cluster through one socket.  Sweep
-    results stream back per cell as the runners answer, with indices
-    already rewritten to the client's cell order.  Two router-only ops
-    drive elastic scaling without a restart: ``resize`` (live
-    join/retire, see :meth:`_serve_resize`) and ``ring`` (the current
-    full-membership ring payload plus the healthy-runner list).
+    A :class:`~repro.serve.LineServer`, like
+    :class:`~repro.serve.SweepServer`: it speaks the same protocol
+    because it runs the same wire code -- ops ``sweep``, ``sweep_spec``,
+    ``metrics``, ``stats`` and ``ping``, the same protocol-fault replies,
+    and a runner's admission rejection relayed as a ``rejected`` line --
+    so any single-server client (:func:`repro.serve.request_sweep_spec`,
+    the load harness) talks to the whole cluster through one socket.
+    Sweep results stream back per cell as the runners answer, with
+    indices already rewritten to the client's cell order.  ``metrics``
+    and ``stats`` carry the router's own wire counters under
+    ``"server"``; each runner's stay under ``"runners"``.  Two
+    router-only ops drive elastic scaling without a restart: ``resize``
+    (live join/retire, see :meth:`_serve_resize`) and ``ring`` (the
+    current full-membership ring payload plus the healthy-runner list).
     """
 
     def __init__(self, client: ClusterClient, *,
                  host: str = "127.0.0.1", port: int = 0,
                  unix_socket: Optional[str] = None,
                  max_line_bytes: int = 1 << 20):
-        require(max_line_bytes > 0, "max_line_bytes must be positive")
+        super().__init__(host=host, port=port, unix_socket=unix_socket,
+                         max_line_bytes=max_line_bytes)
         self.client = client
-        self.host = host
-        self.port = port
-        self.unix_socket = unix_socket
-        self.max_line_bytes = max_line_bytes
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._request_tasks: set = set()
-
-    async def start(self) -> "RouterServer":
-        if self.unix_socket:
-            self._server = await asyncio.start_unix_server(
-                self._handle_client, path=self.unix_socket,
-                limit=self.max_line_bytes + 2)
-        else:
-            self._server = await asyncio.start_server(
-                self._handle_client, host=self.host, port=self.port,
-                limit=self.max_line_bytes + 2)
-            self.port = self._server.sockets[0].getsockname()[1]
-        return self
-
-    @property
-    def address(self) -> str:
-        if self.unix_socket:
-            return self.unix_socket
-        return f"{self.host}:{self.port}"
-
-    async def serve_forever(self) -> None:
-        require(self._server is not None, "call start() before serve_forever()")
-        async with self._server:
-            await self._server.serve_forever()
-
-    async def aclose(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        if self._request_tasks:
-            await asyncio.gather(*list(self._request_tasks),
-                                 return_exceptions=True)
-
-    async def __aenter__(self) -> "RouterServer":
-        return await self.start()
-
-    async def __aexit__(self, exc_type, exc, tb) -> None:
-        await self.aclose()
-
-    # ------------------------------------------------------------------
-    async def _handle_client(self, reader: asyncio.StreamReader,
-                             writer: asyncio.StreamWriter) -> None:
-        write_lock = asyncio.Lock()
-
-        async def send(obj: Dict[str, Any]) -> None:
-            async with write_lock:
-                try:
-                    writer.write(json.dumps(obj, sort_keys=True).encode()
-                                 + b"\n")
-                    await writer.drain()
-                except (ConnectionError, RuntimeError, OSError):
-                    pass  # client went away; runners finish regardless
-
-        try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except (asyncio.LimitOverrunError, ValueError):
-                    await send({"id": None,
-                                "error": "oversized request line "
-                                         f"(> {self.max_line_bytes} bytes)"})
-                    break
-                except (ConnectionError, OSError):
-                    break
-                if not line:
-                    break
-                if not line.strip():
-                    continue
-                try:
-                    request = json.loads(line)
-                    require(isinstance(request, dict),
-                            "request lines must be JSON objects")
-                except (json.JSONDecodeError, ValidationError) as exc:
-                    await send({"id": None, "error": f"bad request line: {exc}"})
-                    continue
-                task = asyncio.create_task(self._serve_request(request, send))
-                self._request_tasks.add(task)
-                task.add_done_callback(self._request_tasks.discard)
-        finally:
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
 
     async def _serve_request(self, request: Dict[str, Any], send) -> None:
         request_id = request.get("id")
         op = request.get("op", "sweep")
-        try:
-            if op == "ping":
-                await send({"id": request_id, "pong": True, "router": True})
-            elif op == "metrics":
-                await send({"id": request_id,
-                            "metrics": await self.client.metrics()})
-            elif op == "stats":
-                stats = vars(self.client.stats).copy()
-                stats["affinity"] = round(self.client.stats.affinity(), 6)
-                stats["healthy_runners"] = len(self.client.healthy)
-                stats["runners"] = {name: name not in self.client._unhealthy
-                                    for name in self.client.runners}
-                await send({"id": request_id, "stats": stats})
-            elif op == "ring":
-                await send({"id": request_id,
-                            "ring": self.client._full_ring.to_payload(),
-                            "healthy": self.client.healthy})
-            elif op == "resize":
-                await self._serve_resize(request_id, request, send)
-            elif op in ("sweep", "sweep_spec"):
-                await self._serve_sweep(request_id, op, request, send)
-            else:
-                await send({"id": request_id, "error": f"unknown op {op!r}"})
-        except (ValidationError, ValueError, TypeError, KeyError,
-                RuntimeError) as exc:
+        if op == "ping":
+            await send({"id": request_id, "pong": True, "router": True})
+        elif op == "metrics":
+            metrics = await self.client.metrics()
+            metrics["server"] = vars(self.stats).copy()
+            await send({"id": request_id, "metrics": metrics})
+        elif op == "stats":
+            stats = vars(self.client.stats).copy()
+            stats["affinity"] = round(self.client.stats.affinity(), 6)
+            stats["healthy_runners"] = len(self.client.healthy)
+            stats["runners"] = {name: name not in self.client._unhealthy
+                                for name in self.client.runners}
+            stats["server"] = vars(self.stats).copy()
+            await send({"id": request_id, "stats": stats})
+        elif op == "ring":
             await send({"id": request_id,
-                        "error": f"{type(exc).__name__}: {exc}"})
+                        "ring": self.client._full_ring.to_payload(),
+                        "healthy": self.client.healthy})
+        elif op == "resize":
+            await self._serve_resize(request_id, request, send)
+        elif op in ("sweep", "sweep_spec"):
+            await self._serve_sweep(request_id, op, request, send)
+        else:
+            await self._unknown_op(request_id, op, send)
 
     async def _serve_resize(self, request_id: Any,
                             request: Dict[str, Any], send) -> None:

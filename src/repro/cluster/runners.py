@@ -19,7 +19,7 @@ from __future__ import annotations
 import os
 import tempfile
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.engine.async_service import AsyncSweepService
 from repro.engine.portfolio import Portfolio
@@ -76,6 +76,13 @@ class RunnerAddress:
         if self.unix_socket:
             return self.unix_socket
         return f"{self.host}:{self.port}"
+
+    @property
+    def client_kwargs(self) -> Dict[str, Any]:
+        """The ``host``/``port``/``unix_socket`` keywords of the
+        :mod:`repro.serve` client helpers, pointed at this runner."""
+        return {"host": self.host, "port": self.port,
+                "unix_socket": self.unix_socket}
 
 
 class LocalCluster:

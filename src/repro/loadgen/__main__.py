@@ -58,8 +58,7 @@ async def _run(args: argparse.Namespace) -> LoadReport:
     chaos = None
     if args.chaos:
         chaos = ChaosConfig(malformed_every=7, oversize_every=11,
-                            disconnect_every=13,
-                            oversize_bytes=(1 << 16) + 512)
+                            disconnect_every=13)
     external = args.unix or args.port
     if external:
         return await run_load(
@@ -78,9 +77,6 @@ async def _run(args: argparse.Namespace) -> LoadReport:
                 portfolio=Portfolio(executor="thread", max_workers=2)) \
                 as service:
             server_kwargs = {}
-            if args.chaos:
-                # keep the injected oversized line actually oversized
-                server_kwargs["max_line_bytes"] = 1 << 16
             if args.admission_limit:
                 server_kwargs["admission_limit"] = args.admission_limit
             async with SweepServer(service, unix_socket=socket_path,

@@ -36,7 +36,6 @@ client-side accounting against the server's own counters.
 from __future__ import annotations
 
 import asyncio
-import json
 import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Union
@@ -53,8 +52,8 @@ from repro.loadgen.chaos import (
 )
 from repro.loadgen.report import LoadReport, build_report
 from repro.scenarios import ScenarioGrid, ScenarioSpec
-from repro.serve import request_metrics
-from repro.utils.validation import require
+from repro.serve import LineConnection, request_metrics
+from repro.utils.validation import ValidationError, require
 
 __all__ = ["LoadClient", "RequestOutcome", "run_load"]
 
@@ -81,72 +80,6 @@ class RequestOutcome:
     key: Optional[str] = None
     #: Failure/rejection/fault detail.
     error: Optional[str] = None
-
-
-class _Pending:
-    """Response collector for one in-flight request id."""
-
-    __slots__ = ("lines", "event")
-
-    def __init__(self) -> None:
-        self.lines: List[Dict[str, Any]] = []
-        self.event = asyncio.Event()
-
-
-class _Connection:
-    """One persistent JSON-lines connection with id-routed responses."""
-
-    def __init__(self, reader: asyncio.StreamReader,
-                 writer: asyncio.StreamWriter):
-        self.reader = reader
-        self.writer = writer
-        self.pending: Dict[str, _Pending] = {}
-        self.lost: Optional[str] = None
-        self._write_lock = asyncio.Lock()
-        self._reader_task = asyncio.create_task(self._read_loop())
-
-    async def _read_loop(self) -> None:
-        try:
-            while True:
-                line = await self.reader.readline()
-                if not line:
-                    self.lost = "server closed the connection"
-                    break
-                try:
-                    response = json.loads(line)
-                except json.JSONDecodeError:
-                    self.lost = "unparseable response line from server"
-                    break
-                entry = self.pending.get(response.get("id"))
-                if entry is None:
-                    continue  # e.g. {"id": null} protocol notices
-                entry.lines.append(response)
-                if (response.get("done") or response.get("rejected")
-                        or ("error" in response and response.get("error")
-                            and "index" not in response)):
-                    entry.event.set()
-        except (ConnectionError, OSError) as exc:
-            self.lost = f"connection lost: {exc}"
-        finally:
-            for entry in self.pending.values():
-                entry.event.set()
-
-    async def send_line(self, payload: Dict[str, Any]) -> None:
-        async with self._write_lock:
-            self.writer.write(json.dumps(payload).encode() + b"\n")
-            await self.writer.drain()
-
-    async def aclose(self) -> None:
-        self._reader_task.cancel()
-        try:
-            await self._reader_task
-        except (asyncio.CancelledError, ConnectionError, OSError):
-            pass
-        try:
-            self.writer.close()
-            await self.writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
 
 
 class LoadClient:
@@ -193,8 +126,8 @@ class LoadClient:
         #: Live per-runner connections while a cluster replay is running
         #: (``None`` outside :meth:`run`); :meth:`remove_runner` parks a
         #: leaver's connection in ``_retired`` until the replay ends.
-        self._by_runner: Optional[Dict[str, _Connection]] = None
-        self._retired: List[_Connection] = []
+        self._by_runner: Optional[Dict[str, LineConnection]] = None
+        self._retired: List[LineConnection] = []
         if self.cluster is not None:
             require(len(self.cluster) >= 1, "cluster= needs >= 1 runner")
             names = [r.name for r in self.cluster]
@@ -212,17 +145,11 @@ class LoadClient:
         self.chaos = chaos
 
     async def _open(self, address: Optional[RunnerAddress] = None
-                    ) -> _Connection:
-        unix_socket = self.unix_socket
-        host, port = self.host, self.port
+                    ) -> LineConnection:
         if address is not None:
-            unix_socket = address.unix_socket
-            host, port = address.host, address.port
-        if unix_socket:
-            reader, writer = await asyncio.open_unix_connection(unix_socket)
-        else:
-            reader, writer = await asyncio.open_connection(host, port)
-        return _Connection(reader, writer)
+            return await LineConnection.open(**address.client_kwargs)
+        return await LineConnection.open(host=self.host, port=self.port,
+                                         unix_socket=self.unix_socket)
 
     def _route(self, spec: ScenarioSpec) -> str:
         """The owning runner's name for one cell (cluster mode only)."""
@@ -290,13 +217,13 @@ class LoadClient:
             self._by_runner = {address.name: await self._open(address)
                                for address in self.cluster}
 
-            def pick(index: int, cell: int) -> _Connection:
+            def pick(index: int, cell: int) -> LineConnection:
                 assert self._by_runner is not None
                 return self._by_runner[self._route(specs[cell])]
         else:
             conns = [await self._open() for _ in range(self.connections)]
 
-            def pick(index: int, cell: int) -> _Connection:
+            def pick(index: int, cell: int) -> LineConnection:
                 return conns[index % len(conns)]
         loop = asyncio.get_running_loop()
         started = loop.time()
@@ -332,64 +259,51 @@ class LoadClient:
         return outcomes
 
     # -- normal traffic ------------------------------------------------
-    async def _fire_sweep(self, conn: _Connection, index: int, cell: int,
+    async def _fire_sweep(self, conn: LineConnection, index: int, cell: int,
                           spec: ScenarioSpec) -> RequestOutcome:
-        request_id = f"lg-{index}"
-        entry = _Pending()
-        conn.pending[request_id] = entry
-        payload = {"op": "sweep_spec", "id": request_id,
+        payload = {"op": "sweep_spec", "id": f"lg-{index}",
                    "specs": [spec.to_payload()],
                    "method": self.method, "options": self.options}
+        slots: List[Dict[str, Any]] = []
         start = time.perf_counter()
         try:
-            await conn.send_line(payload)
-            await asyncio.wait_for(entry.event.wait(), self.request_timeout)
+            reply = await asyncio.wait_for(
+                conn.request(payload, on_line=slots.append),
+                self.request_timeout)
         except asyncio.TimeoutError:
             return RequestOutcome(index=index, cell=cell, kind="sweep",
                                   ok=False, rejected=False,
                                   latency_s=time.perf_counter() - start,
                                   error=f"timed out after "
                                         f"{self.request_timeout}s")
-        except (ConnectionError, OSError) as exc:
+        except (ConnectionError, OSError, ValidationError) as exc:
             return RequestOutcome(index=index, cell=cell, kind="sweep",
                                   ok=False, rejected=False,
                                   latency_s=time.perf_counter() - start,
                                   error=f"connection lost: {exc}")
-        finally:
-            conn.pending.pop(request_id, None)
         latency = time.perf_counter() - start
-        return self._classify(index, cell, entry.lines, conn.lost, latency)
+        return self._classify(index, cell, slots, reply, latency)
 
     @staticmethod
-    def _classify(index: int, cell: int, lines: List[Dict[str, Any]],
-                  lost: Optional[str], latency: float) -> RequestOutcome:
-        """Turn one request's response lines into a :class:`RequestOutcome`."""
-        rejected = next((ln for ln in lines if ln.get("rejected")), None)
-        if rejected is not None:
+    def _classify(index: int, cell: int, slots: List[Dict[str, Any]],
+                  reply: Dict[str, Any], latency: float) -> RequestOutcome:
+        """Turn one request's slot lines and final reply into a
+        :class:`RequestOutcome`."""
+        if reply.get("rejected"):
             return RequestOutcome(index=index, cell=cell, kind="sweep",
                                   ok=False, rejected=True, latency_s=latency,
-                                  error=rejected.get("error"))
-        request_error = next((ln for ln in lines
-                              if ln.get("error") and "index" not in ln
-                              and not ln.get("done")), None)
-        if request_error is not None:
+                                  error=reply.get("error"))
+        if reply.get("error"):
             return RequestOutcome(index=index, cell=cell, kind="sweep",
                                   ok=False, rejected=False, latency_s=latency,
-                                  error=f"request error: "
-                                        f"{request_error['error']}")
-        if lost is not None and not any(ln.get("done") for ln in lines):
-            return RequestOutcome(index=index, cell=cell, kind="sweep",
-                                  ok=False, rejected=False, latency_s=latency,
-                                  error=lost)
-        slots = [ln for ln in lines if "index" in ln]
-        done = next((ln for ln in lines if ln.get("done")), None)
-        if done is None or len(slots) != 1 or done.get("count") != 1 \
-                or slots[0].get("index") != 0:
+                                  error=f"request error: {reply['error']}")
+        if not reply.get("done") or len(slots) != 1 \
+                or reply.get("count") != 1 or slots[0].get("index") != 0:
             return RequestOutcome(
                 index=index, cell=cell, kind="sweep", ok=False,
                 rejected=False, latency_s=latency,
                 error=f"stream integrity: {len(slots)} slot lines, "
-                      f"done={done!r}")
+                      f"done={reply!r}")
         slot = slots[0]
         if slot.get("report") is None:
             return RequestOutcome(index=index, cell=cell, kind="sweep",
@@ -429,28 +343,19 @@ class LoadClient:
         error: Optional[str] = None
         try:
             if fault == FAULT_DISCONNECT:
-                request_id = f"lg-{index}"
-                entry = _Pending()
-                conn.pending[request_id] = entry
-                await conn.send_line({"op": "sweep_spec", "id": request_id,
-                                      "specs": [specs[cell].to_payload()],
-                                      "method": self.method,
-                                      "options": self.options})
+                await conn.send({"op": "sweep_spec", "id": f"lg-{index}",
+                                 "specs": [specs[cell].to_payload()],
+                                 "method": self.method,
+                                 "options": self.options})
                 # vanish mid-stream: no reads, just drop the connection
             else:
                 raw = (malformed_line() if fault == FAULT_MALFORMED
                        else oversized_line(self.chaos.oversize_bytes))
-                async with conn._write_lock:
-                    conn.writer.write(raw)
-                    await conn.writer.drain()
-                probe = _Pending()
-                conn.pending[None] = probe  # the error line has id null
-                try:
-                    await asyncio.wait_for(probe.event.wait(),
-                                           self.request_timeout)
-                except asyncio.TimeoutError:
-                    error = "no protocol-error response before timeout"
-        except (ConnectionError, OSError) as exc:
+                # the error line comes back under id null
+                await asyncio.wait_for(conn.request(raw), self.request_timeout)
+        except asyncio.TimeoutError:
+            error = "no protocol-error response before timeout"
+        except (ConnectionError, OSError, ValidationError) as exc:
             error = f"connection lost mid-fault: {exc}"
         finally:
             await conn.aclose()
@@ -476,9 +381,7 @@ async def _poll_metrics(host: str, port: Optional[int],
     # (it routes *sweeps*; the load client only borrows its aggregation).
     from repro.cluster.router import aggregate_metrics
 
-    snapshots = {address.name: await request_metrics(
-                     host=address.host, port=address.port,
-                     unix_socket=address.unix_socket)
+    snapshots = {address.name: await request_metrics(**address.client_kwargs)
                  for address in cluster}
     return aggregate_metrics(snapshots)
 

@@ -81,6 +81,12 @@ and talk to it from anything that can write a line of JSON to a socket
 (``examples/async_service_tour.py`` shows the asyncio client helper
 :func:`request_sweep`; ``benchmarks/bench_async_service.py`` measures the
 stack under concurrent clients).
+
+The wire mechanics live here once.  :class:`LineServer` is the server
+core that every front runs (:class:`SweepServer` and the cluster's
+router), and :class:`LineConnection` is the one client connection, used
+by the helpers below, the router's calls to its runners and the load
+harness.
 """
 
 from __future__ import annotations
@@ -91,7 +97,7 @@ import json
 import socket
 import sys
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.dag import TradeoffDAG
 from repro.core.duration import ConstantDuration, GeneralStepDuration
@@ -108,6 +114,9 @@ __all__ = [
     "problem_to_payload",
     "problem_from_payload",
     "ServerStats",
+    "Rejected",
+    "LineServer",
+    "LineConnection",
     "SweepServer",
     "request_sweep",
     "request_sweep_spec",
@@ -121,6 +130,11 @@ PROTOCOL_VERSION = 1
 
 #: Read granularity of the bounded line reader (bytes per ``read`` call).
 _READ_CHUNK = 65536
+
+#: Longest reply line a :class:`LineConnection` reads.  A report carries
+#: one allocation entry per job (~20 bytes each), so a reply can be far
+#: longer than asyncio's 64 KiB default and than the request it answers.
+_REPLY_LINE_LIMIT = 1 << 26
 
 MIN_MAKESPAN_WIRE = "min_makespan"
 MIN_RESOURCE_WIRE = "min_resource"
@@ -298,7 +312,7 @@ class _SlotFramer:
 
 @dataclass
 class ServerStats:
-    """Wire-level counters of one :class:`SweepServer` lifetime.
+    """Wire-level counters of one :class:`LineServer` lifetime.
 
     These sit *in front* of the service's
     :class:`~repro.engine.async_service.AsyncSweepStats`: everything the
@@ -333,62 +347,36 @@ class ServerStats:
     writes: int = 0
 
 
-class SweepServer:
-    """Newline-delimited-JSON front end over an :class:`AsyncSweepService`.
+class Rejected(ValidationError):
+    """A request refused at an admission limit.
 
-    One server wraps one service; connections are handled concurrently and
-    every request line inside a connection is served concurrently too
-    (responses are tagged with the request's ``id`` and may interleave --
-    per-scenario results stream back the moment their futures resolve).
-
-    Parameters
-    ----------
-    max_line_bytes:
-        Longest request line accepted; longer lines are discarded without
-        parsing and answered with a structured error (the connection
-        survives).  Bounds per-connection buffer memory against oversized
-        or hostile payloads.
-    drain_timeout:
-        With a value, a response write whose ``drain()`` stalls longer
-        than this many seconds aborts the connection (counted in
-        ``stats.slow_reader_drops``) -- a reader that stopped reading
-        must not pin server memory.  ``None`` (default) waits forever.
-    write_buffer_limit:
-        Optional transport high-water mark in bytes (per connection);
-        smaller values make ``drain()`` engage earlier.  Mostly for the
-        slow-reader chaos tests and the load harness.
-    socket_sndbuf:
-        Optional ``SO_SNDBUF`` for accepted connections; shrinking it
-        makes slow-reader behaviour reproducible (the kernel otherwise
-        absorbs hundreds of KB before ``drain()`` ever blocks).
-    admission_limit:
-        With a value, a sweep arriving while ``queue_depth() +
-        inflight_count()`` is at or above it is *rejected* immediately
-        (``{"rejected": true}`` line, ``stats.rejections``) instead of
-        blocking at the bounded queue.  ``None`` (default) keeps the pure
-        backpressure behaviour.
-    runner_id:
-        Optional stable name of this runner inside a cluster (see
-        :mod:`repro.cluster`); echoed in every ``ping`` reply and stamped
-        on the service's ``metrics`` snapshot so an aggregating router
-        can attribute counters per runner.
+    Raised inside a :class:`LineServer`, it becomes the request's
+    ``{"rejected": true}`` line (counted in ``ServerStats.rejections``);
+    the client helpers raise it when such a line comes back.
     """
 
-    def __init__(self, service: AsyncSweepService, *,
-                 host: str = "127.0.0.1", port: int = 0,
-                 unix_socket: Optional[str] = None,
-                 max_line_bytes: int = 1 << 20,
-                 drain_timeout: Optional[float] = None,
+
+class LineServer:
+    """The JSON-lines server core under every front.
+
+    :class:`SweepServer` and the cluster's
+    :class:`~repro.cluster.router.RouterServer` only serve ops, in
+    ``_serve_request(request, send)``.  The wire is here, once: binding,
+    the bounded line reader, the per-connection ``send`` (write lock,
+    drain timeout, slow-reader drop), one task per request line, and the
+    replies to protocol faults and to what ``_serve_request`` raises --
+    :class:`Rejected` as a ``rejected`` line, a request error as an
+    ``error`` line -- each counted in :attr:`stats`.  The parameters are
+    :class:`SweepServer`'s.
+    """
+
+    def __init__(self, *, host: str, port: int, unix_socket: Optional[str],
+                 max_line_bytes: int, drain_timeout: Optional[float] = None,
                  write_buffer_limit: Optional[int] = None,
-                 socket_sndbuf: Optional[int] = None,
-                 admission_limit: Optional[int] = None,
-                 runner_id: Optional[str] = None):
+                 socket_sndbuf: Optional[int] = None):
         require(max_line_bytes > 0, "max_line_bytes must be positive")
         require(drain_timeout is None or drain_timeout > 0,
                 "drain_timeout must be positive (or None)")
-        require(admission_limit is None or admission_limit >= 0,
-                "admission_limit must be >= 0 (or None)")
-        self.service = service
         self.host = host
         self.port = port
         self.unix_socket = unix_socket
@@ -396,19 +384,15 @@ class SweepServer:
         self.drain_timeout = drain_timeout
         self.write_buffer_limit = write_buffer_limit
         self.socket_sndbuf = socket_sndbuf
-        self.admission_limit = admission_limit
-        self.runner_id = runner_id
-        if runner_id is not None and service.runner_id is None:
-            service.runner_id = runner_id
         self.stats = ServerStats()
         self._server: Optional[asyncio.AbstractServer] = None
         self._request_tasks: set = set()
-        self._connections: set = set()
+        #: Live connections: each one's writer and the task handling it.
+        self._connections: Dict[asyncio.StreamWriter, asyncio.Task] = {}
 
     # -- lifecycle -----------------------------------------------------
-    async def start(self) -> "SweepServer":
-        """Bind the listening socket and warm the service."""
-        await self.service.start()
+    async def start(self) -> "LineServer":
+        """Bind the listening socket."""
         if self.unix_socket:
             self._server = await asyncio.start_unix_server(
                 self._handle_client, path=self.unix_socket)
@@ -427,9 +411,15 @@ class SweepServer:
         return f"{self.host}:{self.port}"
 
     async def serve_forever(self) -> None:
+        """Serve until cancelled; the caller then runs :meth:`aclose`.
+
+        The listener already accepts since :meth:`start`.  This does not
+        await ``asyncio.Server.serve_forever``: cancelled, that one waits
+        for every client to leave, which Python 3.12 does for as long as
+        one stays connected.
+        """
         require(self._server is not None, "call start() before serve_forever()")
-        async with self._server:
-            await self._server.serve_forever()
+        await asyncio.get_running_loop().create_future()
 
     def abort(self) -> None:
         """Hard-stop, as if the runner process died: no drain, no goodbyes.
@@ -449,17 +439,26 @@ class SweepServer:
                 transport.abort()
 
     async def aclose(self) -> None:
-        """Stop accepting connections, finish pending requests, close."""
+        """Stop accepting, finish in-flight requests, close every connection.
+
+        Each live connection is closed once its in-flight requests have
+        answered, and its handler is awaited: an idle client reads EOF,
+        and no handler task outlives the server.
+        """
         if self._server is not None:
             self._server.close()
+        await asyncio.gather(*self._request_tasks, return_exceptions=True)
+        handlers = list(self._connections.values())
+        for writer in list(self._connections):
+            writer.close()
+        await asyncio.gather(*handlers, return_exceptions=True)
+        # Requests the clients sent while the first ones were finishing.
+        await asyncio.gather(*self._request_tasks, return_exceptions=True)
+        if self._server is not None:
             await self._server.wait_closed()
             self._server = None
-        if self._request_tasks:
-            await asyncio.gather(*list(self._request_tasks),
-                                 return_exceptions=True)
-        await self.service.aclose()
 
-    async def __aenter__(self) -> "SweepServer":
+    async def __aenter__(self):
         return await self.start()
 
     async def __aexit__(self, exc_type, exc, tb) -> None:
@@ -500,7 +499,7 @@ class SweepServer:
     async def _handle_client(self, reader: asyncio.StreamReader,
                              writer: asyncio.StreamWriter) -> None:
         self.stats.connections += 1
-        self._connections.add(writer)
+        self._connections[writer] = asyncio.current_task()
         if self.socket_sndbuf is not None:
             sock = writer.get_extra_info("socket")
             if sock is not None:
@@ -563,60 +562,140 @@ class SweepServer:
                     self.stats.protocol_errors += 1
                     await send({"id": None, "error": f"bad request line: {exc}"})
                     continue
-                task = asyncio.create_task(self._serve_request(request, send))
+                task = asyncio.create_task(self._answer(request, send))
                 self._request_tasks.add(task)
                 task.add_done_callback(self._request_tasks.discard)
         finally:
-            self._connections.discard(writer)
+            self._connections.pop(writer, None)
             try:
                 writer.close()
                 await writer.wait_closed()
             except (ConnectionError, OSError):
                 pass
 
-    def _overloaded(self) -> bool:
-        """Is the service at (or past) the admission limit right now?"""
-        return (self.admission_limit is not None
-                and (self.service.queue_depth()
-                     + self.service.inflight_count()) >= self.admission_limit)
+    async def _answer(self, request: Dict[str, Any], send) -> None:
+        """Serve one request line; what it raises becomes its reply."""
+        self.stats.requests += 1
+        try:
+            await self._serve_request(request, send)
+        except Rejected as exc:
+            self.stats.rejections += 1
+            await send({"id": request.get("id"), "rejected": True,
+                        "error": str(exc)})
+        except (ValidationError, ValueError, TypeError, KeyError,
+                RuntimeError) as exc:
+            await send({"id": request.get("id"),
+                        "error": f"{type(exc).__name__}: {exc}"})
 
-    async def _reject(self, request_id: Any, send) -> None:
-        self.stats.rejections += 1
-        await send({"id": request_id, "rejected": True,
-                    "error": "overloaded: admission limit reached "
-                             f"({self.admission_limit} requests pending)"})
+    async def _serve_request(self, request: Dict[str, Any], send) -> None:
+        """Serve one request's op; a subclass's whole protocol."""
+        raise NotImplementedError
+
+    async def _unknown_op(self, request_id: Any, op: Any, send) -> None:
+        """Answer an op this server does not serve: a protocol fault."""
+        self.stats.protocol_errors += 1
+        await send({"id": request_id, "error": f"unknown op {op!r}"})
+
+
+class SweepServer(LineServer):
+    """Newline-delimited-JSON front end over an :class:`AsyncSweepService`.
+
+    One server wraps one service; connections are handled concurrently and
+    every request line inside a connection is served concurrently too
+    (responses are tagged with the request's ``id`` and may interleave --
+    per-scenario results stream back the moment their futures resolve).
+    The wire itself is :class:`LineServer`'s.
+
+    Parameters
+    ----------
+    max_line_bytes:
+        Longest request line accepted; longer lines are discarded without
+        parsing and answered with a structured error (the connection
+        survives).  Bounds per-connection buffer memory against oversized
+        or hostile payloads.
+    drain_timeout:
+        With a value, a response write whose ``drain()`` stalls longer
+        than this many seconds aborts the connection (counted in
+        ``stats.slow_reader_drops``) -- a reader that stopped reading
+        must not pin server memory.  ``None`` (default) waits forever.
+    write_buffer_limit:
+        Optional transport high-water mark in bytes (per connection);
+        smaller values make ``drain()`` engage earlier.  Mostly for the
+        slow-reader chaos tests and the load harness.
+    socket_sndbuf:
+        Optional ``SO_SNDBUF`` for accepted connections; shrinking it
+        makes slow-reader behaviour reproducible (the kernel otherwise
+        absorbs hundreds of KB before ``drain()`` ever blocks).
+    admission_limit:
+        With a value, a sweep arriving while ``queue_depth() +
+        inflight_count()`` is at or above it is *rejected* immediately
+        (``{"rejected": true}`` line, ``stats.rejections``) instead of
+        blocking at the bounded queue.  ``None`` (default) keeps the pure
+        backpressure behaviour.
+    runner_id:
+        Optional stable name of this runner inside a cluster (see
+        :mod:`repro.cluster`); echoed in every ``ping`` reply and stamped
+        on the service's ``metrics`` snapshot so an aggregating router
+        can attribute counters per runner.
+    """
+
+    def __init__(self, service: AsyncSweepService, *,
+                 host: str = "127.0.0.1", port: int = 0,
+                 unix_socket: Optional[str] = None,
+                 max_line_bytes: int = 1 << 20,
+                 drain_timeout: Optional[float] = None,
+                 write_buffer_limit: Optional[int] = None,
+                 socket_sndbuf: Optional[int] = None,
+                 admission_limit: Optional[int] = None,
+                 runner_id: Optional[str] = None):
+        super().__init__(host=host, port=port, unix_socket=unix_socket,
+                         max_line_bytes=max_line_bytes,
+                         drain_timeout=drain_timeout,
+                         write_buffer_limit=write_buffer_limit,
+                         socket_sndbuf=socket_sndbuf)
+        require(admission_limit is None or admission_limit >= 0,
+                "admission_limit must be >= 0 (or None)")
+        self.service = service
+        self.admission_limit = admission_limit
+        self.runner_id = runner_id
+        if runner_id is not None and service.runner_id is None:
+            service.runner_id = runner_id
+
+    async def start(self) -> "SweepServer":
+        """Warm the service, then bind the listening socket."""
+        await self.service.start()
+        await super().start()
+        return self
+
+    async def aclose(self) -> None:
+        """Close the wire (:meth:`LineServer.aclose`), then the service."""
+        await super().aclose()
+        await self.service.aclose()
 
     async def _serve_request(self, request: Dict[str, Any], send) -> None:
         request_id = request.get("id")
         op = request.get("op", "sweep")
-        self.stats.requests += 1
-        try:
-            if op == "ping":
-                reply = {"id": request_id, "pong": True}
-                if self.runner_id is not None:
-                    reply["runner"] = self.runner_id
-                await send(reply)
-            elif op == "stats":
-                stats = vars(self.service.stats).copy()
-                stats["queue_depth"] = self.service.queue_depth()
-                stats["inflight"] = self.service.inflight_count()
-                stats["server"] = vars(self.stats).copy()
-                await send({"id": request_id, "stats": stats})
-            elif op == "metrics":
-                metrics = self.service.snapshot()
-                metrics["server"] = vars(self.stats).copy()
-                await send({"id": request_id, "metrics": metrics})
-            elif op in ("sweep", "sweep_spec"):
-                await self._serve_sweep(request_id, op, request, send)
-            elif op == "warm_cache":
-                await self._serve_warm_cache(request_id, request, send)
-            else:
-                self.stats.protocol_errors += 1
-                await send({"id": request_id, "error": f"unknown op {op!r}"})
-        except (ValidationError, ValueError, TypeError, KeyError,
-                RuntimeError) as exc:
-            await send({"id": request_id,
-                        "error": f"{type(exc).__name__}: {exc}"})
+        if op == "ping":
+            reply = {"id": request_id, "pong": True}
+            if self.runner_id is not None:
+                reply["runner"] = self.runner_id
+            await send(reply)
+        elif op == "stats":
+            stats = vars(self.service.stats).copy()
+            stats["queue_depth"] = self.service.queue_depth()
+            stats["inflight"] = self.service.inflight_count()
+            stats["server"] = vars(self.stats).copy()
+            await send({"id": request_id, "stats": stats})
+        elif op == "metrics":
+            metrics = self.service.snapshot()
+            metrics["server"] = vars(self.stats).copy()
+            await send({"id": request_id, "metrics": metrics})
+        elif op in ("sweep", "sweep_spec"):
+            await self._serve_sweep(request_id, op, request, send)
+        elif op == "warm_cache":
+            await self._serve_warm_cache(request_id, request, send)
+        else:
+            await self._unknown_op(request_id, op, send)
 
     async def _relay_ticket(self, request_id: Any, ticket, send,
                             cells: Optional[Sequence[str]] = None) -> None:
@@ -663,9 +742,11 @@ class SweepServer:
     async def _serve_sweep(self, request_id: Any, op: str,
                            request: Dict[str, Any], send) -> None:
         """Serve one ``sweep`` or ``sweep_spec``: submit, stream per cell."""
-        if self._overloaded():
-            await self._reject(request_id, send)
-            return
+        if (self.admission_limit is not None
+                and (self.service.queue_depth() + self.service.inflight_count())
+                >= self.admission_limit):
+            raise Rejected("overloaded: admission limit reached "
+                           f"({self.admission_limit} requests pending)")
         items, method, options = parse_sweep_request(op, request)
         if op == "sweep_spec":
             ticket = await self.service.submit_specs(items, method, **options)
@@ -711,49 +792,163 @@ class SweepServer:
 
 
 # ---------------------------------------------------------------------------
-# client helper
+# client helpers
 # ---------------------------------------------------------------------------
 
-async def _stream_request(payload: Dict[str, Any], expected: int, *,
-                          host: str, port: Optional[int],
-                          unix_socket: Optional[str]) -> List[Dict[str, Any]]:
-    """Send one request line, collect its streamed per-slot responses.
+class LineConnection:
+    """One client connection to a JSON-lines server, replies routed by id.
+
+    Every client of the protocol -- the one-shot helpers below, the
+    cluster router's calls to its runners and the load harness -- talks
+    through this class.  Many requests may be in flight on one
+    connection: a reply line goes to the pending request with its
+    ``id``, a per-slot line (one with ``"index"``) to that request's
+    ``on_line`` callback, and the first line without ``"index"`` ends the
+    request.  Lines for no pending id are dropped.
+    """
+
+    def __init__(self, reader: asyncio.StreamReader,
+                 writer: asyncio.StreamWriter):
+        self._reader = reader
+        self._writer = writer
+        self._pending: Dict[Any, Tuple[Optional[Callable[[Dict[str, Any]], Any]],
+                                       "asyncio.Future"]] = {}
+        self._write_lock = asyncio.Lock()
+        #: Why the connection ended, once it has.
+        self.lost: Optional[str] = None
+        self._reader_task = asyncio.create_task(self._read_loop())
+
+    @classmethod
+    async def open(cls, *, host: str = "127.0.0.1", port: Optional[int] = None,
+                   unix_socket: Optional[str] = None) -> "LineConnection":
+        """Connect to a unix socket, or else to ``host:port``."""
+        if unix_socket:
+            reader, writer = await asyncio.open_unix_connection(
+                unix_socket, limit=_REPLY_LINE_LIMIT)
+        else:
+            require(port is not None, "the client helpers need port= or unix_socket=")
+            reader, writer = await asyncio.open_connection(
+                host, port, limit=_REPLY_LINE_LIMIT)
+        return cls(reader, writer)
+
+    @classmethod
+    async def request_once(cls, payload: Dict[str, Any], *,
+                           host: str = "127.0.0.1", port: Optional[int] = None,
+                           unix_socket: Optional[str] = None,
+                           on_line: Optional[Callable[[Dict[str, Any]], Any]] = None,
+                           ) -> Dict[str, Any]:
+        """One request on a fresh connection; returns its final reply.
+
+        Raises :class:`Rejected` on a ``rejected`` reply and
+        :class:`ValidationError` on any other error reply.
+        """
+        connection = await cls.open(host=host, port=port, unix_socket=unix_socket)
+        try:
+            reply = await connection.request(payload, on_line=on_line)
+        finally:
+            await connection.aclose()
+        if reply.get("rejected"):
+            raise Rejected(f"server rejected the request: {reply.get('error')}")
+        if reply.get("error"):
+            raise ValidationError(f"server error: {reply['error']}")
+        return reply
+
+    async def send(self, message: Union[Dict[str, Any], bytes]) -> None:
+        """Write one request object (or raw line bytes); await no reply."""
+        if not isinstance(message, bytes):
+            message = json.dumps(message).encode() + b"\n"
+        async with self._write_lock:
+            self._writer.write(message)
+            await self._writer.drain()
+
+    async def request(self, message: Union[Dict[str, Any], bytes], *,
+                      on_line: Optional[Callable[[Dict[str, Any]], Any]] = None,
+                      ) -> Dict[str, Any]:
+        """Send one request; return its final reply line.
+
+        A raw ``bytes`` line is answered under id ``null``: the server's
+        reply to a line it could not take as a request.  Raises
+        ``ConnectionError`` if the connection ends first, and
+        :class:`ValidationError` if a reply line cannot be read (too long,
+        not JSON, not an object) -- the server answered, so a caller must
+        not take it for dead.
+        """
+        request_id = message.get("id") if isinstance(message, dict) else None
+        if self._reader_task.done():
+            raise ConnectionError(self.lost or "connection closed")
+        require(request_id not in self._pending,
+                f"request id {request_id!r} is already in flight")
+        future = asyncio.get_running_loop().create_future()
+        self._pending[request_id] = (on_line, future)
+        try:
+            await self.send(message)
+            return await future
+        finally:
+            self._pending.pop(request_id, None)
+
+    async def _read_loop(self) -> None:
+        failure: Callable[[str], Exception] = ConnectionError
+        try:
+            while True:
+                line = await self._reader.readline()
+                if not line:
+                    self.lost = "server closed the connection"
+                    break
+                reply = json.loads(line)
+                if not isinstance(reply, dict):
+                    raise ValueError("not a JSON object")
+                pending = self._pending.get(reply.get("id"))
+                if pending is None:
+                    continue
+                on_line, future = pending
+                if "index" not in reply:
+                    del self._pending[reply.get("id")]
+                    if not future.done():  # not cancelled meanwhile
+                        future.set_result(reply)
+                elif on_line is not None:
+                    on_line(reply)
+        except (ConnectionError, OSError) as exc:
+            self.lost = f"connection lost: {exc}"
+        except ValueError as exc:  # not JSON, not an object, or past the limit
+            self.lost = f"unreadable reply line from server: {exc}"
+            failure = ValidationError
+        finally:
+            for _, future in self._pending.values():
+                if not future.done():
+                    future.set_exception(
+                        failure(self.lost or "connection closed"))
+
+    async def aclose(self) -> None:
+        self._reader_task.cancel()
+        try:
+            await self._reader_task
+        except (asyncio.CancelledError, ConnectionError, OSError):
+            pass
+        try:
+            self._writer.close()
+            await self._writer.wait_closed()
+        except (ConnectionError, OSError):
+            pass
+
+
+async def _request_slots(payload: Dict[str, Any], expected: int, *,
+                         host: str, port: Optional[int],
+                         unix_socket: Optional[str]) -> List[Dict[str, Any]]:
+    """Send one sweep request, collect its streamed per-slot responses.
 
     Returns the per-slot response dicts in batch order (the streamed order
-    may differ; this helper reassembles it).  Raises
-    :class:`ValidationError` on a server-reported request error.
+    may differ; this helper reassembles it).  A failed scenario
+    (``"source": "failed"``, ``"error": ...``) is a valid result slot, not
+    a request error.  Raises :class:`ValidationError` on a server-reported
+    request error.
     """
-    if unix_socket:
-        reader, writer = await asyncio.open_unix_connection(unix_socket)
-    else:
-        require(port is not None, "the client helpers need port= or unix_socket=")
-        reader, writer = await asyncio.open_connection(host, port)
-    try:
-        writer.write(json.dumps(payload).encode() + b"\n")
-        await writer.drain()
-        results: Dict[int, Dict[str, Any]] = {}
-        while True:
-            line = await reader.readline()
-            require(bool(line), "server closed the connection mid-request")
-            response = json.loads(line)
-            if "index" in response:
-                # Per-scenario line; a failed scenario ("source": "failed",
-                # "error": ...) is a valid result slot, not a request error.
-                results[response["index"]] = response
-                continue
-            if response.get("error"):
-                raise ValidationError(f"server error: {response['error']}")
-            if response.get("done"):
-                break
-        require(len(results) == expected,
-                f"server answered {len(results)}/{expected} scenarios")
-        return [results[i] for i in range(expected)]
-    finally:
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except (ConnectionError, OSError):  # pragma: no cover - teardown race
-            pass
+    slots: Dict[int, Dict[str, Any]] = {}
+    await LineConnection.request_once(
+        payload, host=host, port=port, unix_socket=unix_socket,
+        on_line=lambda line: slots.__setitem__(line["index"], line))
+    require(len(slots) == expected,
+            f"server answered {len(slots)}/{expected} scenarios")
+    return [slots[i] for i in range(expected)]
 
 
 async def request_sweep(problems: Sequence[Problem], *,
@@ -771,8 +966,8 @@ async def request_sweep(problems: Sequence[Problem], *,
     payload = {"op": "sweep", "id": request_id,
                "scenarios": [problem_to_payload(p) for p in problems],
                "method": method, "options": options or {}}
-    return await _stream_request(payload, len(problems), host=host,
-                                 port=port, unix_socket=unix_socket)
+    return await _request_slots(payload, len(problems), host=host,
+                                port=port, unix_socket=unix_socket)
 
 
 async def request_sweep_spec(scenarios: Union[ScenarioGrid,
@@ -805,8 +1000,8 @@ async def request_sweep_spec(scenarios: Union[ScenarioGrid,
                    "specs": [spec.to_payload() for spec in specs]}
     payload["method"] = method
     payload["options"] = options or {}
-    return await _stream_request(payload, expected, host=host, port=port,
-                                 unix_socket=unix_socket)
+    return await _request_slots(payload, expected, host=host, port=port,
+                                unix_socket=unix_socket)
 
 
 async def request_metrics(*, host: str = "127.0.0.1",
@@ -820,29 +1015,12 @@ async def request_metrics(*, host: str = "127.0.0.1",
     the wire-level :class:`ServerStats` under ``"server"``).  Raises
     :class:`ValidationError` on a server-reported error.
     """
-    if unix_socket:
-        reader, writer = await asyncio.open_unix_connection(unix_socket)
-    else:
-        require(port is not None, "the client helpers need port= or unix_socket=")
-        reader, writer = await asyncio.open_connection(host, port)
-    try:
-        writer.write(json.dumps({"op": "metrics", "id": request_id}).encode()
-                     + b"\n")
-        await writer.drain()
-        line = await reader.readline()
-        require(bool(line), "server closed the connection mid-request")
-        response = json.loads(line)
-        if response.get("error"):
-            raise ValidationError(f"server error: {response['error']}")
-        require(isinstance(response.get("metrics"), dict),
-                "metrics reply must carry a 'metrics' object")
-        return response["metrics"]
-    finally:
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except (ConnectionError, OSError):  # pragma: no cover - teardown race
-            pass
+    reply = await LineConnection.request_once(
+        {"op": "metrics", "id": request_id},
+        host=host, port=port, unix_socket=unix_socket)
+    require(isinstance(reply.get("metrics"), dict),
+            "metrics reply must carry a 'metrics' object")
+    return reply["metrics"]
 
 
 async def request_warm_cache(*, host: str = "127.0.0.1",
@@ -866,28 +1044,10 @@ async def request_warm_cache(*, host: str = "127.0.0.1",
         payload["owner"] = owner
     if limit is not None:
         payload["limit"] = limit
-    if unix_socket:
-        reader, writer = await asyncio.open_unix_connection(unix_socket)
-    else:
-        require(port is not None, "the client helpers need port= or unix_socket=")
-        reader, writer = await asyncio.open_connection(host, port)
-    try:
-        writer.write(json.dumps(payload).encode() + b"\n")
-        await writer.drain()
-        line = await reader.readline()
-        require(bool(line), "server closed the connection mid-request")
-        response = json.loads(line)
-        if response.get("error"):
-            raise ValidationError(f"server error: {response['error']}")
-        require("warmed" in response,
-                "warm_cache reply must carry a 'warmed' count")
-        return response
-    finally:
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except (ConnectionError, OSError):  # pragma: no cover - teardown race
-            pass
+    reply = await LineConnection.request_once(
+        payload, host=host, port=port, unix_socket=unix_socket)
+    require("warmed" in reply, "warm_cache reply must carry a 'warmed' count")
+    return reply
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from repro.engine import Portfolio, clear_caches, set_solution_store
 from repro.engine.async_service import AsyncSweepService
 from repro.engine.store import report_to_payload
 from repro.scenarios import Axis, ScenarioGrid
+import repro.serve as serve_module
 from repro.serve import request_metrics, request_sweep_spec
 from repro.utils.validation import ValidationError
 
@@ -426,6 +427,85 @@ class TestRouterServer:
         assert stats["stats"]["healthy_runners"] == 2
         assert stats["stats"]["runners"] == {"runner-0": True,
                                              "runner-1": True}
+        # the router's own wire counters: the bad line and the unknown op
+        assert stats["stats"]["server"]["protocol_errors"] == 2
+        assert stats["stats"]["server"]["connections"] == 4
+
+    def test_router_metrics_carry_its_own_wire_counters(self, tmp_path):
+        sock = str(tmp_path / "router.sock")
+
+        async def body():
+            async with LocalCluster(2) as cluster:
+                client = ClusterClient(cluster.addresses())
+                async with RouterServer(client, unix_socket=sock):
+                    await request_sweep_spec(GRID, unix_socket=sock)
+                    routed = await request_metrics(unix_socket=sock)
+                # in process: the runners' sum, under "server" too
+                return routed, await client.metrics()
+
+        routed, summed = run_async(body())
+        # the router's own: one sweep_spec, one metrics, on two connections
+        assert routed["server"]["connections"] == 2
+        assert routed["server"]["requests"] == 2
+        assert sorted(routed["runners"]) == ["runner-0", "runner-1"]
+        assert summed["server"]["requests"] == sum(
+            snap["server"]["requests"] for snap in summed["runners"].values())
+
+    def test_long_reply_crosses_the_router(self, tmp_path):
+        """A reply line past asyncio's 64 KiB default (one allocation
+        entry per job) reaches the client; no runner is taken for dead."""
+        sock = str(tmp_path / "router.sock")
+        wide = ScenarioGrid(
+            generators=({"generator": "fork-join",
+                         "params": {"width": Axis([3500]), "work": Axis([4])}},),
+            budget_rules=(("makespan-factor", 0.5),))
+
+        async def body():
+            async with LocalCluster(2) as cluster:
+                client = ClusterClient(cluster.addresses())
+                async with RouterServer(client, unix_socket=sock):
+                    slots = await request_sweep_spec(wide, unix_socket=sock)
+                return slots, client
+
+        slots, client = run_async(body())
+        assert len(json.dumps(slots[0])) > 1 << 16
+        assert slots[0]["report"] is not None
+        assert client.healthy == ["runner-0", "runner-1"]
+        assert client.stats.runner_errors == client.stats.reroutes == 0
+
+    def test_unreadable_reply_is_a_request_error(self, tmp_path, monkeypatch):
+        """A runner reply line the router cannot read fails that request
+        only: the runner stays in the ring and the next request works."""
+        monkeypatch.setattr(serve_module, "_REPLY_LINE_LIMIT", 4096)
+        sock = str(tmp_path / "router.sock")
+        wide = ScenarioGrid(
+            generators=({"generator": "fork-join",
+                         "params": {"width": Axis([400]), "work": Axis([4])}},),
+            budget_rules=(("makespan-factor", 0.5),))
+
+        async def body():
+            async with LocalCluster(2) as cluster:
+                client = ClusterClient(cluster.addresses())
+                async with RouterServer(client, unix_socket=sock):
+                    with pytest.raises(ValidationError,
+                                       match="unreadable reply line"):
+                        await request_sweep_spec(wide, unix_socket=sock)
+                    slots = await request_sweep_spec(GRID, unix_socket=sock)
+                return slots, client
+
+        slots, client = run_async(body())
+        assert len(slots) == GRID.size()
+        assert client.healthy == ["runner-0", "runner-1"]
+        assert client.stats.runner_errors == client.stats.reroutes == 0
+
+    def test_runner_rejection_raises_in_process(self):
+        async def body():
+            async with LocalCluster(2, admission_limit=0) as cluster:
+                client = ClusterClient(cluster.addresses())
+                with pytest.raises(ValidationError, match="overloaded"):
+                    await client.sweep_specs(GRID)
+
+        run_async(body())
 
 
 class TestClusterLoadgen:

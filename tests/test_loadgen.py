@@ -348,3 +348,59 @@ class TestLiveLoad:
         report = LoadReport.from_payload(payload)
         assert report.reconcile() == []
         assert report.counts["requests"] == 12
+
+    def test_chaos_through_a_router_counts_its_own_protocol_errors(self, tmp_path):
+        """The router answers wire faults itself and reports its own
+        counters under "server": the CLI's seeded chaos replay through it
+        counts each injected malformed and oversized line, and reconciles."""
+        from repro.cluster import ClusterClient, LocalCluster, RouterServer
+        from repro.loadgen.__main__ import default_grid
+
+        grid = default_grid()
+        schedule = build_schedule("poisson", rate=50.0, count=40,
+                                  num_cells=grid.size(), skew=1.1, seed=0)
+        chaos = ChaosConfig(malformed_every=7, oversize_every=11,
+                            disconnect_every=13)
+        sock = str(tmp_path / "router.sock")
+
+        async def body():
+            async with LocalCluster(2) as cluster:
+                async with RouterServer(ClusterClient(cluster.addresses()),
+                                        unix_socket=sock):
+                    return await run_load(schedule, grid, unix_socket=sock,
+                                          time_scale=0.0, chaos=chaos)
+
+        report = run_async(body())
+        assert report.reconcile() == []
+        injected = (report.chaos[FAULT_MALFORMED]["injected"]
+                    + report.chaos[FAULT_OVERSIZE]["injected"])
+        assert report.server_delta["server"]["protocol_errors"] == injected == 8
+        assert report.chaos[FAULT_OVERSIZE] == {"injected": 3, "ok": 3}
+        assert report.chaos[FAULT_DISCONNECT] == {"injected": 3, "ok": 3}
+
+    def test_cli_chaos_against_an_external_default_bound_server(self, tmp_path):
+        """The CLI injects ChaosConfig's 2 MiB oversized line, so an
+        external server at the default 1 MiB bound refuses it too."""
+        import argparse
+
+        from repro.engine.async_service import AsyncSweepService
+        from repro.loadgen.__main__ import _run
+        from repro.serve import SweepServer
+
+        sock = str(tmp_path / "serve.sock")
+        args = argparse.Namespace(
+            process="poisson", rate=50.0, requests=40, skew=1.1, seed=0,
+            connections=4, time_scale=0.0, chaos=True, admission_limit=None,
+            host="127.0.0.1", port=None, unix=sock)
+
+        async def body():
+            service = AsyncSweepService(
+                store=str(tmp_path / "store"),
+                portfolio=Portfolio(executor="thread", max_workers=2))
+            async with SweepServer(service, unix_socket=sock):
+                return await _run(args)
+
+        report = run_async(body())
+        assert report.reconcile() == []
+        assert report.chaos[FAULT_OVERSIZE] == {"injected": 3, "ok": 3}
+        assert report.server_delta["server"]["oversized_lines"] == 3

@@ -6,8 +6,10 @@ JSON, non-object lines, oversized payloads, mid-stream disconnects,
 slow readers, admission overload -- then asserts the server (a) stays
 up and keeps serving other clients, (b) counts the fault in
 ``ServerStats``, and (c) leaves store contents and results bit-identical
-to a clean run.  CI runs this file under pytest-timeout in the
-concurrency-stress job.
+to a clean run.  The protocol-fault tests run twice, through one
+``SweepServer`` and through a ``RouterServer`` over two runners: both
+fronts run one server core, so they must answer alike.  CI runs this
+file under pytest-timeout in the concurrency-stress job.
 """
 
 from __future__ import annotations
@@ -15,11 +17,12 @@ from __future__ import annotations
 import asyncio
 import json
 import threading
-from contextlib import contextmanager
+from contextlib import asynccontextmanager, contextmanager
 from types import SimpleNamespace
 
 import pytest
 
+from repro.cluster import ClusterClient, LocalCluster, RouterServer
 from repro.core.problem import TradeoffSolution
 from repro.engine import (
     MIN_MAKESPAN,
@@ -58,6 +61,26 @@ def _spec(width: int = 2) -> ScenarioSpec:
 def _service(tmp_path, name="store", **kwargs):
     kwargs.setdefault("portfolio", Portfolio(executor="thread", max_workers=2))
     return AsyncSweepService(store=str(tmp_path / name), **kwargs)
+
+
+@asynccontextmanager
+async def _front(kind, tmp_path, *, max_line_bytes=1 << 20,
+                 admission_limit=None):
+    """A live JSON-lines front on a unix socket: one ``SweepServer``
+    (``kind="server"``) or a ``RouterServer`` over a 2-runner cluster
+    whose runners carry the admission limit (``kind="router"``)."""
+    sock = str(tmp_path / "front.sock")
+    if kind == "server":
+        async with SweepServer(_service(tmp_path), unix_socket=sock,
+                               max_line_bytes=max_line_bytes,
+                               admission_limit=admission_limit) as server:
+            yield server
+        return
+    async with LocalCluster(2, admission_limit=admission_limit) as cluster:
+        async with RouterServer(ClusterClient(cluster.addresses()),
+                                unix_socket=sock,
+                                max_line_bytes=max_line_bytes) as router:
+            yield router
 
 
 @contextmanager
@@ -121,6 +144,15 @@ def _strip_timing(slot):
 
 
 class TestProtocolFaults:
+    """Protocol faults through one ``SweepServer``; the subclass
+    :class:`TestRouterProtocolFaults` runs every test again through a
+    ``RouterServer``."""
+
+    front_kind = "server"
+
+    def front(self, tmp_path, **kwargs):
+        return _front(self.front_kind, tmp_path, **kwargs)
+
     @pytest.mark.parametrize("raw, expect", [
         (malformed_line(), "bad request line"),
         (non_object_line(), "bad request line"),
@@ -129,9 +161,7 @@ class TestProtocolFaults:
     def test_garbage_line_answered_and_connection_survives(
             self, tmp_path, raw, expect):
         async def body():
-            async with SweepServer(_service(tmp_path),
-                                   unix_socket=str(tmp_path / "s.sock")) \
-                    as server:
+            async with self.front(tmp_path) as server:
                 reader, writer = await _connect(server.unix_socket)
                 writer.write(raw)
                 await writer.drain()
@@ -149,9 +179,7 @@ class TestProtocolFaults:
 
     def test_unknown_op_is_a_protocol_error_with_id(self, tmp_path):
         async def body():
-            async with SweepServer(_service(tmp_path),
-                                   unix_socket=str(tmp_path / "s.sock")) \
-                    as server:
+            async with self.front(tmp_path) as server:
                 reader, writer = await _connect(server.unix_socket)
                 lines = await _request(writer, reader,
                                        {"op": "frobnicate", "id": "u1"})
@@ -167,10 +195,7 @@ class TestProtocolFaults:
 
     def test_oversized_line_discarded_without_buffering(self, tmp_path):
         async def body():
-            server = SweepServer(_service(tmp_path),
-                                 unix_socket=str(tmp_path / "s.sock"),
-                                 max_line_bytes=4096)
-            async with server:
+            async with self.front(tmp_path, max_line_bytes=4096) as server:
                 reader, writer = await _connect(server.unix_socket)
                 writer.write(oversized_line(64 * 1024))
                 await writer.drain()
@@ -195,10 +220,7 @@ class TestProtocolFaults:
         # bound must be rejected on length, not parsed because the newline
         # arrived before the buffer check.
         async def body():
-            server = SweepServer(_service(tmp_path),
-                                 unix_socket=str(tmp_path / "s.sock"),
-                                 max_line_bytes=2048)
-            async with server:
+            async with self.front(tmp_path, max_line_bytes=2048) as server:
                 reader, writer = await _connect(server.unix_socket)
                 writer.write(oversized_line(2100))
                 await writer.drain()
@@ -208,6 +230,50 @@ class TestProtocolFaults:
                 await writer.wait_closed()
                 assert server.stats.oversized_lines == 1
         run_async(body())
+
+    def test_admission_rejection_is_a_rejected_line(self, tmp_path):
+        # Through the router the runner refuses; the router relays it as
+        # its own rejected line and counts it.
+        async def body():
+            async with self.front(tmp_path, admission_limit=0) as server:
+                reader, writer = await _connect(server.unix_socket)
+                lines = await _request(
+                    writer, reader, {"op": "sweep_spec", "id": "r1",
+                                     "specs": [_spec().to_payload()]})
+                assert lines[-1]["id"] == "r1"
+                assert lines[-1]["rejected"] is True
+                assert "overloaded" in lines[-1]["error"]
+                pong = await _request(writer, reader,
+                                      {"op": "ping", "id": "after"})
+                assert pong[0]["pong"] is True
+                writer.close()
+                await writer.wait_closed()
+                assert server.stats.rejections == 1
+        run_async(body())
+
+    def test_aclose_ends_idle_connections(self, tmp_path):
+        async def body():
+            async with self.front(tmp_path) as server:
+                reader, writer = await _connect(server.unix_socket)
+                pong = await _request(writer, reader,
+                                      {"op": "ping", "id": "idle"})
+                assert pong[0]["pong"] is True
+                await asyncio.wait_for(server.aclose(), 5.0)
+                # the idle client is told, and no handler outlives aclose
+                assert await asyncio.wait_for(reader.read(), 2.0) == b""
+                handlers = [task for task in asyncio.all_tasks()
+                            if not task.done() and "_handle_client"
+                            in task.get_coro().__qualname__]
+                assert handlers == []
+                writer.close()
+                await asyncio.wait_for(writer.wait_closed(), 2.0)
+        run_async(body())
+
+
+class TestRouterProtocolFaults(TestProtocolFaults):
+    """Every protocol-fault test again, through a ``RouterServer``."""
+
+    front_kind = "router"
 
 
 class TestDisconnects:
