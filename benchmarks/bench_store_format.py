@@ -10,8 +10,9 @@ no JSON decode at all, and :meth:`~repro.engine.store.SolutionStore.scan`
 streams the whole store in one pass.  This benchmark measures both layouts
 on the same contents (real solved reports + bulk entries + aliases):
 
-* **sharded JSON (v1)** -- the legacy format, bulk-read via ``scan()``
-  (which falls back to full shard parses there);
+* **sharded JSON (v1)** -- the legacy format, which the store still reads
+  but no longer writes: this benchmark writes the v1 root itself, and a
+  bulk read via ``scan()`` pays one full parse per shard there;
 * **packed binary (v2)** -- the same store after ``migrate()``.
 
 The gate is **machine-independent** (the ISSUE 6 acceptance criteria): the
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import shutil
 import sys
 import tempfile
@@ -41,6 +43,7 @@ from repro.core.duration import GeneralStepDuration
 from repro.core.problem import MinMakespanProblem
 from repro.engine import SolutionStore, request_key
 from repro.engine.core import solve
+from repro.engine.store import report_to_payload
 
 from bench_common import emit, parse_json_flag, write_json_artifact
 
@@ -77,22 +80,37 @@ def _bulk_payload(index: int) -> dict:
     }
 
 
+def write_v1_root(root: str, entries) -> None:
+    """Write ``(key, payload)`` pairs, in insertion order, as a legacy v1
+    root: ``shards/<prefix>.json`` = ``{"schema": 1, "entries": {key:
+    payload + "__seq__"}}``."""
+    shards: dict = {}
+    for seq, (key, payload) in enumerate(entries, start=1):
+        shards.setdefault(key[:2], {})[key] = {**payload, "__seq__": seq}
+    os.makedirs(os.path.join(root, "shards"))
+    with open(os.path.join(root, "meta.json"), "w", encoding="utf-8") as handle:
+        json.dump({"schema": 1, "shard_width": 2}, handle)
+    for shard_id, shard in shards.items():
+        with open(os.path.join(root, "shards", f"{shard_id}.json"), "w",
+                  encoding="utf-8") as handle:
+            json.dump({"schema": 1, "entries": shard}, handle,
+                      sort_keys=True, separators=(",", ":"))
+
+
 def build_v1_store(root: str, bulk: int) -> dict:
     """Populate a legacy sharded-JSON store: reports + bulk + aliases."""
     clear_caches()
-    store = SolutionStore(root, shard_format="json")
-    report_keys = []
-    for budget in REPORT_BUDGETS:
-        problem = _chain_problem(budget)
-        key = request_key(problem)
-        store.put_report(key, solve(problem, use_cache=False))
-        report_keys.append(key)
+    report_keys = [request_key(_chain_problem(budget))
+                   for budget in REPORT_BUDGETS]
+    reports = [(key, report_to_payload(
+        solve(_chain_problem(budget), use_cache=False), key))
+        for key, budget in zip(report_keys, REPORT_BUDGETS)]
     items = [(_bulk_key(i), _bulk_payload(i)) for i in range(bulk)]
     aliases = [(hashlib.sha256(f"alias:{i}".encode()).hexdigest(),
                 {"alias_of": _bulk_key(i)})
                for i in range(0, bulk, ALIAS_EVERY)]
-    store.put_many(items + aliases)
-    return {"store": store, "report_keys": report_keys,
+    write_v1_root(root, reports + items + aliases)
+    return {"store": SolutionStore(root), "report_keys": report_keys,
             "non_alias": bulk + len(REPORT_BUDGETS), "aliases": len(aliases)}
 
 
@@ -120,8 +138,7 @@ def run_comparison(bulk: int) -> dict:
 
         # v1 -> v2 migration on a copy (so both layouts hold the same data)
         shutil.copytree(f"{workdir}/v1", f"{workdir}/v2")
-        migration = SolutionStore(f"{workdir}/v2",
-                                  shard_format="binary").migrate()
+        migration = SolutionStore(f"{workdir}/v2").migrate()
         migrated = SolutionStore(f"{workdir}/v2")
         migration_identical = _snapshot(migrated) == before
         reports_decode = all(migrated.get_report(key) is not None
@@ -222,7 +239,7 @@ def test_packed_store_scans_without_full_parses(benchmark):
     workdir = tempfile.mkdtemp(prefix="bench-store-pytest-")
     try:
         build_v1_store(f"{workdir}/v1", QUICK_BULK)
-        SolutionStore(f"{workdir}/v1", shard_format="binary").migrate()
+        SolutionStore(f"{workdir}/v1").migrate()
 
         def binary_scan():
             return sweep_records(SolutionStore(f"{workdir}/v1"))

@@ -33,6 +33,7 @@ from __future__ import annotations
 import argparse
 import asyncio
 import os
+import signal
 import subprocess
 import sys
 import tempfile
@@ -41,6 +42,7 @@ from typing import List, Optional, Sequence
 
 from repro.cluster.router import ClusterClient, RouterServer
 from repro.cluster.runners import RunnerAddress
+from repro.serve import serve_until_signalled
 from repro.utils.validation import require
 
 __all__ = ["main"]
@@ -146,12 +148,7 @@ async def _run_router(args: argparse.Namespace,
     print(f"repro.cluster: routing on {router.address} over "
           f"{len(client.healthy)}/{len(addresses)} runners"
           + (f" (down: {', '.join(down)})" if down else ""), flush=True)
-    try:
-        await router.serve_forever()
-    except asyncio.CancelledError:  # pragma: no cover - Ctrl-C path
-        pass
-    finally:
-        await router.aclose()
+    await serve_until_signalled(router, "repro.cluster")
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -181,9 +178,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         addresses = [RunnerAddress.parse(spec) for spec in args.runner]
     try:
         asyncio.run(_run_router(args, addresses))
-    except KeyboardInterrupt:  # pragma: no cover - interactive teardown
+    except KeyboardInterrupt:  # pragma: no cover - Ctrl-C before serving
         print("repro.cluster: shutting down", flush=True)
     finally:
+        # A second Ctrl-C (or SIGTERM) must not cut the wait for the
+        # runners short: each stops its own pool on the SIGTERM below.
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        signal.signal(signal.SIGTERM, signal.SIG_IGN)
         for process in processes:
             process.terminate()
         for process in processes:

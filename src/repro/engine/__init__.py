@@ -28,7 +28,7 @@ Layers (each its own module; see ``docs/architecture.md`` for the diagram):
 * :mod:`~repro.engine.core`        -- :func:`solve`, :class:`SolveReport`,
   :class:`SolveLimits` and the two-tier solution cache (LRU + store);
 * :mod:`~repro.engine.store`       -- the persistent on-disk
-  :class:`SolutionStore` (tier 2, sharded JSON);
+  :class:`SolutionStore` (tier 2, packed record shards);
 * :mod:`~repro.engine.batch`       -- batched solve kernels: cached
   :class:`~repro.core.lp.LPModelSkeleton` per arc-DAG fingerprint and the
   :func:`~repro.engine.batch.solve_lp_batch` shard entry point;

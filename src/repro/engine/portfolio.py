@@ -238,12 +238,16 @@ class Portfolio:
     def close(self) -> None:
         """Shut the persistent pool down and mark the portfolio closed.
 
-        A closed portfolio raises :class:`RuntimeError` from every
-        solve/map/shard entry point (instead of failing deep inside a
-        shut-down executor); :meth:`start` reopens it.
+        Queued work is cancelled and the workers are waited for: a
+        process that exits right after a shutdown that does not wait can
+        lose the workers' stop messages (Python 3.11), leaving them
+        running with no parent.  A closed portfolio raises
+        :class:`RuntimeError` from every solve/map/shard entry point
+        (instead of failing deep inside a shut-down executor);
+        :meth:`start` reopens it.
         """
         if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
+            self._pool.shutdown(wait=True, cancel_futures=True)
             self._pool = None
         self._closed = True
 

@@ -10,19 +10,20 @@ installed with :func:`repro.engine.core.set_solution_store`; the
 On-disk format (see ``docs/caching.md`` for the full specification):
 
 * ``<root>/meta.json`` -- store-level metadata (schema version, creator);
-* ``<root>/shards/<prefix>.rps`` -- the **packed binary v2** shard format
-  (the default): a fixed-width, key-sorted record table (key bytes +
-  insertion sequence + payload offset/length + flags) followed by a
-  payload region of per-entry JSON blobs.  A ``get()`` binary-searches the
-  record table and decodes *one* payload; alias entries
-  (``{"alias_of": key}``) keep their target in the payload region as raw
-  key bytes and resolve without any JSON decode; :meth:`SolutionStore.scan`
-  streams every entry in one pass, skipping alias payloads untouched.
-* ``<root>/shards/<prefix>.json`` -- the legacy sharded-JSON v1 format,
-  still fully readable *and* writable (``shard_format="json"``); each blob
-  is ``{"schema": 1, "entries": {request_key: payload}}``.  The format is
-  negotiated per shard file, so mixed stores work; a write rewrites its
-  shard in the store's configured format and :meth:`SolutionStore.migrate`
+* ``<root>/shards/<prefix>.rps`` -- the **packed binary v2** shard, the
+  one format the store writes: a fixed-width, key-sorted record table
+  (key bytes + insertion sequence + payload offset/length + flags)
+  followed by a payload region of per-entry JSON blobs.  A ``get()``
+  binary-searches the record table and decodes *one* payload; alias
+  entries (``{"alias_of": key}``) keep their target in the payload region
+  as raw key bytes and resolve without any JSON decode;
+  :meth:`SolutionStore.scan` streams every entry in one pass, skipping
+  alias payloads untouched.  A write carries the other entries' record
+  bytes unchanged and encodes only its own payloads.
+* ``<root>/shards/<prefix>.json`` -- the legacy sharded-JSON v1 format
+  (``{"schema": 1, "entries": {request_key: payload}}``), still read: a
+  v1 shard is converted to packed records in memory, the next write to it
+  replaces it with a ``.rps`` file, and :meth:`SolutionStore.migrate`
   converts a whole store at once.
 
 Guarantees:
@@ -83,7 +84,8 @@ import tempfile
 import threading
 import time
 from bisect import bisect_left
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (Any, Callable, Dict, Iterator, List, Optional, Sequence,
+                    Tuple, Union)
 
 try:  # POSIX advisory record locks; gated so non-posix hosts still import
     import fcntl
@@ -110,9 +112,8 @@ __all__ = [
 ]
 
 #: Version of the on-disk payload layout.  ``2`` is the packed binary shard
-#: format; ``1`` (legacy sharded JSON) stays fully readable and writable.
-#: Entries written under an *unknown* version are ignored (recomputed),
-#: never misread.
+#: format; ``1`` (legacy sharded JSON) stays readable.  Entries written
+#: under an *unknown* version are ignored (recomputed), never misread.
 STORE_SCHEMA_VERSION = 2
 
 #: The legacy sharded-JSON schema (the only schema JSON shard blobs carry).
@@ -151,41 +152,49 @@ class _ShardSchemaMismatch(Exception):
     """A binary shard written under an unknown format version."""
 
 
+#: What reading a record or decoding its payload may raise: broken bounds,
+#: or a key or payload that is not UTF-8 or JSON (ValueError subclasses).
+_RECORD_ERRORS = (_ShardCorrupt, struct.error, ValueError)
+
+#: One shard's records: ``{key: (insertion seq, payload bytes, flags)}``.
+_Records = Dict[str, Tuple[int, bytes, int]]
+
+
 def _is_alias_payload(payload: Dict[str, Any]) -> bool:
     return len(payload) == 1 and isinstance(payload.get("alias_of"), str)
 
 
-def _pack_shard(entries: Dict[str, Dict[str, Any]]) -> bytes:
-    """Serialize ``entries`` (values carry ``__seq__``) into a v2 shard.
+def _encode_payload(payload: Dict[str, Any]) -> Tuple[bytes, int]:
+    """``(bytes, flags)`` of one payload's record: an alias keeps only its
+    target key, anything else is compact sorted JSON.
 
-    Raises ``TypeError``/``ValueError`` for unpackable keys or payloads --
-    the same failure class the JSON writer raises, which callers already
-    count as skipped writes.
+    Raises ``TypeError``/``ValueError`` for a payload with no JSON form,
+    which callers count as a skipped write.
     """
-    encoded: List[Tuple[bytes, int, bytes, int]] = []
-    for key in sorted(entries):
-        entry = entries[key]
-        key_bytes = key.encode("utf-8")
-        if not key_bytes or b"\x00" in key_bytes:
-            raise ValueError(f"store key not packable: {key!r}")
-        seq = int(entry.get("__seq__", 0))
-        payload = {k: v for k, v in entry.items() if k != "__seq__"}
-        if _is_alias_payload(payload):
-            blob, flags = payload["alias_of"].encode("utf-8"), _FLAG_ALIAS
-        else:
-            blob = json.dumps(payload, sort_keys=True,
-                              separators=(",", ":")).encode("utf-8")
-            flags = 0
-        encoded.append((key_bytes, seq, blob, flags))
+    if _is_alias_payload(payload):
+        return payload["alias_of"].encode("utf-8"), _FLAG_ALIAS
+    return json.dumps(payload, sort_keys=True,
+                      separators=(",", ":")).encode("utf-8"), 0
 
-    key_width = max((len(k) for k, _s, _b, _f in encoded), default=1)
+
+def _pack_records(records: _Records) -> bytes:
+    """Serialize ``records`` into a v2 shard, record table sorted by key.
+
+    Raises ``ValueError`` for a key no shard can hold (empty, or with a
+    NUL byte).
+    """
+    keys = sorted(records)
+    encoded = [key.encode("utf-8") for key in keys]
+    if any(not key_bytes or b"\x00" in key_bytes for key_bytes in encoded):
+        raise ValueError("store key not packable")
+    key_width = max(map(len, encoded), default=1)
     record_size = key_width + _RECORD_FIXED.size
-    payload_offset = _HEADER.size + record_size * len(encoded)
-    parts = [_HEADER.pack(_SHARD_MAGIC, STORE_SCHEMA_VERSION, 0,
-                          len(encoded), key_width, payload_offset)]
+    parts = [_HEADER.pack(_SHARD_MAGIC, STORE_SCHEMA_VERSION, 0, len(keys),
+                          key_width, _HEADER.size + record_size * len(keys))]
     blobs: List[bytes] = []
     offset = 0
-    for key_bytes, seq, blob, flags in encoded:
+    for key, key_bytes in zip(keys, encoded):
+        seq, blob, flags = records[key]
         parts.append(key_bytes.ljust(key_width, b"\x00"))
         parts.append(_RECORD_FIXED.pack(seq, offset, len(blob), flags))
         blobs.append(blob)
@@ -193,45 +202,31 @@ def _pack_shard(entries: Dict[str, Dict[str, Any]]) -> bytes:
     return b"".join(parts + blobs)
 
 
-class _Found:
-    """One entry a store lookup found: exactly one of its three forms.
+_EMPTY_SHARD = _pack_records({})
 
-    ``alias_of`` is an alias entry's target key.  ``blob`` is a packed
-    payload's bytes, already decoded once to check them; ``spliceable``
-    says whether those bytes are a report that may go on the wire
-    verbatim (see :func:`_spliceable`).  ``entry`` is a payload dict of a
-    shard held decoded in memory (``__seq__`` included); its ``blob`` is
-    ``None`` until :meth:`SolutionStore._report_bytes` first encodes and
-    checks it.
+
+class _Found:
+    """One entry a store lookup found: an alias target or checked bytes.
+
+    ``alias_of`` is an alias entry's target key.  ``blob`` is a payload's
+    bytes, already decoded once to check them; ``spliceable`` says whether
+    those bytes are a report that may go on the wire verbatim (see
+    :func:`_spliceable`).
     """
 
-    __slots__ = ("alias_of", "blob", "spliceable", "entry")
+    __slots__ = ("alias_of", "blob", "spliceable")
 
     def __init__(self, *, alias_of: Optional[str] = None,
-                 blob: Optional[bytes] = None, spliceable: bool = False,
-                 entry: Optional[Dict[str, Any]] = None):
+                 blob: Optional[bytes] = None, spliceable: bool = False):
         self.alias_of = alias_of
         self.blob = blob
         self.spliceable = spliceable
-        self.entry = entry
 
     def payload(self) -> Dict[str, Any]:
         """The entry as the payload dict :meth:`SolutionStore.get` returns."""
         if self.alias_of is not None:
             return {"alias_of": self.alias_of}
-        if self.entry is not None:
-            return {k: v for k, v in self.entry.items() if k != "__seq__"}
         return json.loads(self.blob)
-
-
-def _found_entry(entry: Optional[Dict[str, Any]]) -> Optional[_Found]:
-    """A decoded shard entry (``__seq__`` included) as a lookup result."""
-    if entry is None:
-        return None
-    target = entry.get("alias_of")
-    if isinstance(target, str) and len(entry) - ("__seq__" in entry) == 1:
-        return _Found(alias_of=target)
-    return _Found(entry=entry)
 
 
 #: What a report payload that does not decode raises (a miss, never a crash).
@@ -257,30 +252,34 @@ def _spliceable(key: str, blob: bytes, payload: Dict[str, Any]) -> bool:
 
 
 class _PackedShardReader:
-    """Lazy, mmap-backed view of one packed binary shard.
+    """Lazy view of one packed shard: a file (mmapped) or bytes in memory.
 
-    Parses only the 28-byte header eagerly; key lookups binary-search the
-    fixed-width record table directly on the mapped buffer and payloads
-    are decoded one at a time, on demand.  The first lookup of a key
-    checks its payload and memoizes the result (``found``: the validated
-    bytes, never a decoded dict), so each payload is decoded once per
-    open reader.  Every offset is bounds-checked -- a mangled file raises
-    :class:`_ShardCorrupt` (whole-file distrust) which the store decays
-    to "empty shard".
+    Every shard a store holds is one of these -- over its ``.rps`` file,
+    a v1 shard converted in memory, the bytes the store just wrote, or an
+    empty shard.  Parses only the 28-byte header eagerly; key lookups
+    binary-search the fixed-width record table directly on the buffer and
+    payloads are read one at a time, on demand.  The store memoizes each
+    key's checked lookup result in ``found`` (the validated bytes, never
+    a decoded dict), so each payload is decoded once per reader.  Every
+    offset is bounds-checked: a mangled header raises
+    :class:`_ShardCorrupt` at open (whole-file distrust, which the store
+    decays to "empty shard"), a mangled record when it is read.
     """
 
-    __slots__ = ("path", "buf", "count", "key_width", "payload_offset",
+    __slots__ = ("buf", "count", "key_width", "payload_offset",
                  "_record_size", "_records_off", "found")
 
-    def __init__(self, path: str):
-        self.path = path
-        with open(path, "rb") as handle:
-            try:
-                self.buf: Any = mmap.mmap(handle.fileno(), 0,
-                                          access=mmap.ACCESS_READ)
-            except (ValueError, OSError):  # empty file / mmap-hostile fs
-                handle.seek(0)
-                self.buf = handle.read()
+    def __init__(self, source: Union[str, bytes]):
+        if isinstance(source, bytes):
+            self.buf: Any = source
+        else:
+            with open(source, "rb") as handle:
+                try:
+                    self.buf = mmap.mmap(handle.fileno(), 0,
+                                         access=mmap.ACCESS_READ)
+                except (ValueError, OSError):  # empty file / mmap-hostile fs
+                    handle.seek(0)
+                    self.buf = handle.read()
         try:
             magic, version, _flags, count, key_width, payload_offset = \
                 _HEADER.unpack_from(self.buf, 0)
@@ -306,13 +305,17 @@ class _PackedShardReader:
         start = self._records_off + index * self._record_size
         return bytes(self.buf[start:start + self.key_width])
 
-    def record(self, index: int) -> Tuple[str, int, int, int, int]:
-        """``(key, seq, offset, length, flags)`` of record ``index``."""
+    def record(self, index: int) -> Tuple[str, int, bytes, int]:
+        """``(key, seq, payload bytes, flags)`` of record ``index``; raises
+        one of :data:`_RECORD_ERRORS` when it cannot be read."""
         start = self._records_off + index * self._record_size
         key = self._key_bytes_at(index).rstrip(b"\x00").decode("utf-8")
         seq, offset, length, flags = _RECORD_FIXED.unpack_from(
             self.buf, start + self.key_width)
-        return key, seq, offset, length, flags
+        begin = self.payload_offset + offset
+        if begin + length > len(self.buf):
+            raise _ShardCorrupt("payload out of bounds")
+        return key, seq, bytes(self.buf[begin:begin + length]), flags
 
     def find(self, key: str) -> Optional[int]:
         """Record index of ``key`` via binary search, or ``None``."""
@@ -326,23 +329,12 @@ class _PackedShardReader:
             return lo
         return None
 
-    def blob(self, offset: int, length: int) -> bytes:
-        start = self.payload_offset + offset
-        end = start + length
-        if offset < 0 or length < 0 or end > len(self.buf):
-            raise _ShardCorrupt("payload out of bounds")
-        return bytes(self.buf[start:end])
-
-    def seq_stats(self) -> Tuple[int, int]:
-        """``(count, max_seq)`` straight from the record table -- no
-        payload decode."""
-        max_seq = 0
-        for index in range(self.count):
-            start = (self._records_off + index * self._record_size
-                     + self.key_width)
-            seq = _RECORD_FIXED.unpack_from(self.buf, start)[0]
-            max_seq = max(max_seq, seq)
-        return self.count, max_seq
+    def max_seq(self) -> int:
+        """The largest insertion sequence, straight from the record table
+        -- no payload read."""
+        return max((_RECORD_FIXED.unpack_from(
+            self.buf, self._records_off + index * self._record_size
+            + self.key_width)[0] for index in range(self.count)), default=0)
 
 
 # ---------------------------------------------------------------------------
@@ -364,33 +356,20 @@ def _fsync_dir(directory: str) -> None:
 
 
 def atomic_write_json(path: str, payload: Any, *, fsync: bool = False) -> None:
-    """Serialize ``payload`` to ``path`` atomically (temp file + rename).
+    """Serialize ``payload`` to ``path`` atomically (temp file + rename);
+    ``fsync`` as in :func:`_atomic_write_bytes`."""
+    _atomic_write_bytes(path, json.dumps(payload, sort_keys=True,
+                                         separators=(",", ":")).encode("utf-8"),
+                        fsync=fsync)
+
+
+def _atomic_write_bytes(path: str, data: bytes, *, fsync: bool = False) -> None:
+    """Write ``data`` to ``path`` atomically (temp file + rename).
 
     With ``fsync=True`` the temp file is flushed to disk *before* the
     rename and the containing directory *after* it, so a crash between
     rename and the kernel's next writeback cannot lose the file.
     """
-    directory = os.path.dirname(path) or "."
-    fd, tmp_path = tempfile.mkstemp(prefix=".tmp-", dir=directory)
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, sort_keys=True, separators=(",", ":"))
-            if fsync:
-                handle.flush()
-                os.fsync(handle.fileno())
-        os.replace(tmp_path, path)
-        if fsync:
-            _fsync_dir(directory)
-    except BaseException:
-        try:
-            os.unlink(tmp_path)
-        except OSError:
-            pass
-        raise
-
-
-def _atomic_write_bytes(path: str, data: bytes, *, fsync: bool = False) -> None:
-    """The binary-shard counterpart of :func:`atomic_write_json`."""
     directory = os.path.dirname(path) or "."
     fd, tmp_path = tempfile.mkstemp(prefix=".tmp-", dir=directory)
     try:
@@ -660,10 +639,6 @@ class SolutionStore:
     shard_width:
         Number of leading key characters selecting a shard (2 -> up to 256
         shards for hex keys).
-    cache_shards:
-        Keep decoded shards in memory after first access.  Leave on for a
-        single-writer process; call :meth:`refresh` to observe writes made
-        by other processes.
     max_total_entries:
         Optional store-wide entry cap for long-lived deployments.  When
         set, every write that pushes the store past the cap triggers
@@ -671,10 +646,6 @@ class SolutionStore:
         insertion sequence first) until the cap holds again.  ``None``
         (the default) disables the GC; :meth:`compact` can still be called
         manually with an explicit target.
-    shard_format:
-        ``"binary"`` (default) writes the packed v2 shard format;
-        ``"json"`` writes the legacy v1 sharded JSON.  *Reads* always
-        negotiate per shard file, so either handle serves a mixed store.
     durable:
         Fsync shard and meta writes (temp file before the rename, shard
         directory after it).  Off by default -- atomicity alone already
@@ -693,49 +664,33 @@ class SolutionStore:
     """
 
     def __init__(self, root: str, *, max_entries_per_shard: int = 4096,
-                 shard_width: int = 2, cache_shards: bool = True,
-                 max_total_entries: Optional[int] = None,
-                 shard_format: str = "binary", durable: bool = False,
-                 locking: bool = True, lock_timeout: float = 10.0):
+                 shard_width: int = 2, max_total_entries: Optional[int] = None,
+                 durable: bool = False, locking: bool = True,
+                 lock_timeout: float = 10.0):
         require(max_entries_per_shard > 0, "max_entries_per_shard must be positive")
         require(1 <= shard_width <= 8, "shard_width must be in [1, 8]")
         require(max_total_entries is None or max_total_entries > 0,
                 "max_total_entries must be positive (or None to disable the GC)")
-        require(shard_format in ("binary", "json"),
-                "shard_format must be 'binary' or 'json'")
         require(lock_timeout > 0, "lock_timeout must be positive")
         self.root = os.path.abspath(root)
         self.max_entries_per_shard = max_entries_per_shard
         self.shard_width = shard_width
-        self.cache_shards = cache_shards
         self.max_total_entries = max_total_entries
-        self.shard_format = shard_format
         self.durable = durable
         self.locking = locking
         self.lock_timeout = lock_timeout
         #: Key of the process-wide lock registry: symlink-stable so two
         #: instances opened through different paths still serialise.
         self._lock_root = os.path.realpath(self.root)
-        self._shards: Dict[str, Dict[str, Any]] = {}
-        #: The lookup results of each shard in ``_shards``, by key: an
-        #: entry's report bytes are checked once, on their first read, like
-        #: a packed reader's (``_PackedShardReader.found``).  Dropped
-        #: whenever the shard's cached entries are replaced or dropped.
-        self._entry_found: Dict[str, Dict[str, _Found]] = {}
-        #: Lazy binary readers: shard id -> reader (only shards whose sole
-        #: on-disk form is packed v2; anything mixed falls back to a full
-        #: decode).  Invalidated together with ``_shards``.
+        #: Every shard this handle has touched: shard id -> its reader
+        #: (see :meth:`_open`).  Dropped when the shard is re-read.
         self._readers: Dict[str, _PackedShardReader] = {}
-        #: Shards whose packed blob failed to open (corrupt / unknown
-        #: version): remembered so the failure is counted once, not on
-        #: every lookup.  Cleared when the shard is rewritten.
-        self._failed_readers: set = set()
-        #: On-disk identity of each cached shard at the moment it was
-        #: read (see :meth:`_shard_signature`).  A lookup that misses in
-        #: the cache compares against this to detect rewrites by *other*
-        #: processes sharing the root (atomic renames always change the
-        #: inode) and reloads once instead of reporting a stale miss.
-        self._shard_sigs: Dict[str, Tuple] = {}
+        #: On-disk identity of each held shard at the moment it was read
+        #: (see :meth:`_shard_signature`).  A lookup that misses compares
+        #: against this to detect rewrites by *other* processes sharing
+        #: the root (atomic renames always change the inode) and reloads
+        #: once instead of reporting a stale miss.
+        self._shard_sigs: Dict[str, Optional[Tuple[int, int, int]]] = {}
         #: Global insertion sequence (next value to assign) and cached total
         #: entry count; both are established lazily by one full-store scan
         #: (:meth:`_seq_floor_scan`) and kept incrementally afterwards, so
@@ -752,8 +707,8 @@ class SolutionStore:
         self.schema_mismatches = 0
         self.skipped_writes = 0
         # Decode/scan accounting (the raw-speed counters benchmarks gate
-        # on): how many JSON *shard files* were fully parsed, how many
-        # individual payload blobs were JSON-decoded, how many alias
+        # on): how many v1 JSON *shard files* were parsed (converted), how
+        # many individual payload blobs were JSON-decoded, how many alias
         # entries resolved straight from the record table, and the bulk
         # scan traffic.
         self.full_shard_parses = 0
@@ -781,7 +736,7 @@ class SolutionStore:
         self.lock_timeouts = 0
         self.stale_locks_recovered = 0
         self.compactions_skipped = 0
-        # Read-side cross-process coherence: cached shards found stale
+        # Read-side cross-process coherence: held shards found stale
         # against their on-disk signature and reloaded mid-lookup.
         self.stale_shard_reloads = 0
         # Batched planning reads: keys resolved through get_many (one
@@ -864,31 +819,27 @@ class SolutionStore:
     def _binary_path(self, shard_id: str) -> str:
         return os.path.join(self._shard_dir, f"{shard_id}.rps")
 
-    def _shard_files(self, shard_id: str) -> Tuple[bool, bool]:
-        """``(has_json, has_binary)`` for one shard id."""
-        return (os.path.exists(self._json_path(shard_id)),
-                os.path.exists(self._binary_path(shard_id)))
+    def _shard_signature(self, shard_id: str) -> Optional[Tuple[int, int, int]]:
+        """On-disk identity of one shard's ``.rps`` file, or ``None``.
 
-    @staticmethod
-    def _stat_sig(path: str) -> Optional[Tuple[int, int, int]]:
+        ``(st_ino, st_size, st_mtime_ns)``.  Every store write goes
+        through an atomic temp-file + rename, which allocates a fresh
+        inode, so a rewrite by any process -- including same-size,
+        same-mtime ones -- always changes the signature.  No process
+        writes a ``.json`` shard, so the packed file alone tells.
+        """
         try:
-            stat = os.stat(path)
+            stat = os.stat(self._binary_path(shard_id))
         except OSError:
             return None
         return (stat.st_ino, stat.st_size, stat.st_mtime_ns)
 
-    def _shard_signature(self, shard_id: str) -> Tuple[Optional[Tuple[int, int, int]],
-                                                       Optional[Tuple[int, int, int]]]:
-        """On-disk identity of one shard: ``(json_sig, binary_sig)``.
-
-        Each side is ``(st_ino, st_size, st_mtime_ns)`` or ``None`` for
-        an absent file.  Every store write goes through an atomic
-        temp-file + rename, which allocates a fresh inode, so a rewrite
-        by any process -- including same-size, same-mtime ones -- always
-        changes the signature.
-        """
-        return (self._stat_sig(self._json_path(shard_id)),
-                self._stat_sig(self._binary_path(shard_id)))
+    def _write_meta(self) -> None:
+        atomic_write_json(self._meta_path, {
+            "schema": STORE_SCHEMA_VERSION,
+            "format": "repro-solution-store/packed-v2",
+            "shard_width": self.shard_width,
+        }, fsync=self.durable)
 
     def _write_meta_if_absent(self) -> None:
         if os.path.exists(self._meta_path):
@@ -908,202 +859,155 @@ class SolutionStore:
             except (OSError, json.JSONDecodeError, AttributeError):
                 self.corrupt_shards += 1
             return
-        atomic_write_json(self._meta_path, {
-            "schema": STORE_SCHEMA_VERSION,
-            "format": "repro-solution-store/packed-v2",
-            "shard_width": self.shard_width,
-            "shard_format": self.shard_format,
-        }, fsync=self.durable)
+        self._write_meta()
 
     # ------------------------------------------------------------------
     # shard IO
     # ------------------------------------------------------------------
-    def _load_json_entries(self, shard_id: str) -> Dict[str, Any]:
-        """Fully parse one v1 JSON shard blob (corruption decays to empty)."""
-        path = self._json_path(shard_id)
-        entries: Dict[str, Any] = {}
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                blob = json.load(handle)
-            self.full_shard_parses += 1
-            if not isinstance(blob, dict) or not isinstance(blob.get("entries"), dict):
-                raise ValueError("malformed shard blob")
-            if blob.get("schema") != STORE_SCHEMA_V1:
-                self.schema_mismatches += 1
-            else:
-                # Entry values must be payload dicts; anything else is
-                # per-entry corruption (counted, skipped, repaired on
-                # the shard's next write).
-                entries = {k: v for k, v in blob["entries"].items()
-                           if isinstance(v, dict)}
-                if len(entries) != len(blob["entries"]):
-                    self.corrupt_shards += 1
-        except (OSError, json.JSONDecodeError, ValueError):
-            self.corrupt_shards += 1
-        return entries
-
-    def _reader(self, shard_id: str) -> Optional[_PackedShardReader]:
-        """The (cached) packed reader for one v2 shard, or ``None``."""
+    def _reader(self, shard_id: str) -> _PackedShardReader:
+        """The shard's reader: held since an earlier call, or opened now."""
         reader = self._readers.get(shard_id)
-        if reader is not None:
-            return reader
-        if shard_id in self._failed_readers:
-            return None
-        path = self._binary_path(shard_id)
-        if not os.path.exists(path):
-            return None
-        # Signature taken *before* the open: if the file is swapped
-        # mid-open we record the older identity and the next miss simply
-        # revalidates again (conservative, never stale-forever).
-        signature = self._shard_signature(shard_id)
-        try:
-            reader = _PackedShardReader(path)
-            self.binary_shard_opens += 1
-        except _ShardSchemaMismatch:
-            self.schema_mismatches += 1
-            self._failed_readers.add(shard_id)
-            return None
-        except (_ShardCorrupt, OSError, UnicodeDecodeError):
-            self.corrupt_shards += 1
-            self._failed_readers.add(shard_id)
-            return None
-        if self.cache_shards:
-            self._readers[shard_id] = reader
+        if reader is None:
+            # Signature taken *before* the open: if the file is swapped
+            # mid-open we record the older identity and the next miss
+            # simply revalidates again (conservative, never stale-forever).
+            signature = self._shard_signature(shard_id)
+            reader = self._readers[shard_id] = self._open(
+                shard_id, packed=signature is not None)
             self._shard_sigs[shard_id] = signature
         return reader
 
-    def _decode_record(self, reader: _PackedShardReader,
-                       index: int) -> Optional[Tuple[str, Dict[str, Any]]]:
-        """``(key, entry-with-__seq__)`` for one record; ``None`` on
-        per-entry corruption (counted)."""
+    def _open(self, shard_id: str, *, packed: bool) -> _PackedShardReader:
+        """A reader over one shard as it is on disk.
+
+        The ``.rps`` file (when ``packed``) is read in place.  A legacy
+        v1 ``.json`` shard is converted to records in memory and, when a
+        crash left a ``.rps`` beside it (between a rewrite and the old
+        file's unlink), merged with it by insertion sequence, newest
+        winning per key.  No file, or one that cannot be trusted, reads
+        as an empty shard; its failure is counted here, once per open.
+        """
+        reader = None
+        if packed:
+            try:
+                reader = _PackedShardReader(self._binary_path(shard_id))
+                self.binary_shard_opens += 1
+            except _ShardSchemaMismatch:
+                self.schema_mismatches += 1
+            except (_ShardCorrupt, OSError):
+                self.corrupt_shards += 1
+        legacy = self._convert_v1(shard_id)
+        if legacy is None:
+            return reader if reader is not None else _PackedShardReader(_EMPTY_SHARD)
+        if reader is not None:
+            for key, seq, blob, flags in self._records(reader):
+                if key not in legacy or legacy[key][0] <= seq:
+                    legacy[key] = (seq, blob, flags)
         try:
-            key, seq, offset, length, flags = reader.record(index)
-            blob = reader.blob(offset, length)
-            if flags & _FLAG_ALIAS:
-                payload: Dict[str, Any] = {"alias_of": blob.decode("utf-8")}
-            else:
-                payload = json.loads(blob.decode("utf-8"))
-                self.payload_decodes += 1
-                if not isinstance(payload, dict):
-                    raise ValueError("payload is not an object")
-        except (_ShardCorrupt, struct.error, UnicodeDecodeError,
-                json.JSONDecodeError, ValueError):
+            return _PackedShardReader(_pack_records(legacy))
+        except (ValueError, struct.error):  # a v1 key or seq no shard holds
             self.corrupt_shards += 1
-            return None
-        entry = dict(payload)
-        entry["__seq__"] = seq
-        return key, entry
+            return _PackedShardReader(_EMPTY_SHARD)
 
-    def _load_binary_entries(self, shard_id: str) -> Dict[str, Any]:
-        """Fully decode one packed shard (the write/compact/migrate path)."""
-        reader = self._reader(shard_id)
-        entries: Dict[str, Any] = {}
-        if reader is None:
-            return entries
-        for index in range(reader.count):
-            decoded = self._decode_record(reader, index)
-            if decoded is not None:
-                entries[decoded[0]] = decoded[1]
-        return entries
+    def _convert_v1(self, shard_id: str) -> Optional[_Records]:
+        """The records of one legacy v1 JSON shard; ``None`` without one.
 
-    def _load_shard(self, shard_id: str) -> Dict[str, Any]:
-        """Entries of one shard, fully decoded; corruption decays to empty.
-
-        Negotiates the format per file.  When both a ``.json`` and a
-        ``.rps`` blob exist (a crash between a format-converting rewrite
-        and the old file's unlink), the two are merged with the higher
-        insertion sequence winning per key.
+        The one place the v1 layout is read: ``{"schema": 1, "entries":
+        {key: payload}}``, each payload carrying its insertion sequence as
+        ``__seq__``.  Every payload is encoded as a write would encode it;
+        the parse is counted in ``full_shard_parses``.  A blob that does
+        not parse converts to no records (``corrupt_shards``), as does one
+        of another schema (``schema_mismatches``); an entry that is not an
+        object is dropped (``corrupt_shards``, once per shard).
         """
-        if self.cache_shards and shard_id in self._shards:
-            return self._shards[shard_id]
-        # Signature before the read, so a concurrent rewrite makes the
-        # cached copy look stale (and reload) rather than current.
-        signature = self._shard_signature(shard_id)
-        has_json, has_binary = self._shard_files(shard_id)
-        entries: Dict[str, Any] = {}
-        if has_json:
-            entries = self._load_json_entries(shard_id)
-        if has_binary:
-            for key, entry in self._load_binary_entries(shard_id).items():
-                current = entries.get(key)
-                if (current is None or current.get("__seq__", 0)
-                        <= entry.get("__seq__", 0)):
-                    entries[key] = entry
-        if self.cache_shards:
-            self._cache_entries(shard_id, entries, signature)
-        return entries
-
-    def _cache_entries(self, shard_id: str, entries: Dict[str, Any],
-                       signature: Tuple) -> None:
-        """Hold one shard's decoded entries (and their on-disk identity)."""
-        self._shards[shard_id] = entries
-        self._entry_found.pop(shard_id, None)
-        self._shard_sigs[shard_id] = signature
-
-    def _write_shard(self, shard_id: str, entries: Dict[str, Any]) -> None:
-        """Rewrite one shard in the store's configured format (atomic).
-
-        The other-format file, if any, is removed *after* the new blob is
-        in place -- a crash in between leaves both, which reads merge by
-        sequence number.
-        """
-        if self.shard_format == "binary":
-            _atomic_write_bytes(self._binary_path(shard_id),
-                                _pack_shard(entries), fsync=self.durable)
-            stale = self._json_path(shard_id)
-        else:
-            atomic_write_json(self._json_path(shard_id),
-                              {"schema": STORE_SCHEMA_V1, "entries": entries},
-                              fsync=self.durable)
-            stale = self._binary_path(shard_id)
         try:
-            os.unlink(stale)
+            with open(self._json_path(shard_id), "r", encoding="utf-8") as handle:
+                blob = json.load(handle)
+        except FileNotFoundError:
+            return None
+        except (OSError, ValueError):
+            self.corrupt_shards += 1
+            return {}
+        self.full_shard_parses += 1
+        if not isinstance(blob, dict) or not isinstance(blob.get("entries"), dict):
+            self.corrupt_shards += 1
+            return {}
+        if blob.get("schema") != STORE_SCHEMA_V1:
+            self.schema_mismatches += 1
+            return {}
+        records: _Records = {}
+        try:
+            for key, entry in blob["entries"].items():
+                if isinstance(entry, dict):
+                    payload = {k: v for k, v in entry.items() if k != "__seq__"}
+                    records[key] = (int(entry.get("__seq__", 0)),
+                                    *_encode_payload(payload))
+        except (TypeError, ValueError):
+            self.corrupt_shards += 1
+            return {}
+        if len(records) != len(blob["entries"]):
+            self.corrupt_shards += 1
+        return records
+
+    def _records(self, reader: _PackedShardReader
+                 ) -> Iterator[Tuple[str, int, bytes, int]]:
+        """Every readable record of one shard, payloads left as bytes; a
+        record whose bounds are broken is skipped and counted."""
+        for index in range(reader.count):
+            try:
+                record = reader.record(index)
+            except _RECORD_ERRORS:
+                self.corrupt_shards += 1
+                continue
+            yield record
+
+    def _shard_records(self, shard_id: str) -> _Records:
+        """One shard's records as a write starts from them (no decode)."""
+        return {key: (seq, blob, flags) for key, seq, blob, flags
+                in self._records(self._reader(shard_id))}
+
+    def _write_shard(self, shard_id: str, records: _Records) -> None:
+        """Pack ``records`` into the shard's ``.rps`` file (atomic) and hold
+        a reader over the bytes written.
+
+        A legacy ``.json`` file of the shard is removed *after* the new
+        blob is in place -- a crash in between leaves both, which reads
+        merge by sequence number.
+        """
+        data = _pack_records(records)
+        _atomic_write_bytes(self._binary_path(shard_id), data,
+                            fsync=self.durable)
+        try:
+            os.unlink(self._json_path(shard_id))
         except OSError:
             pass
-        self._readers.pop(shard_id, None)
-        self._failed_readers.discard(shard_id)
-        if self.cache_shards:
-            self._cache_entries(shard_id, entries,
-                                self._shard_signature(shard_id))
+        self._readers[shard_id] = _PackedShardReader(data)
+        self._shard_sigs[shard_id] = self._shard_signature(shard_id)
 
     def _invalidate_shard(self, shard_id: str) -> None:
-        self._shards.pop(shard_id, None)
-        self._entry_found.pop(shard_id, None)
         self._readers.pop(shard_id, None)
-        self._failed_readers.discard(shard_id)
         self._shard_sigs.pop(shard_id, None)
 
-    def _evict(self, entries: Dict[str, Any]) -> int:
+    def _evict(self, records: _Records) -> int:
         evicted = 0
-        while len(entries) > self.max_entries_per_shard:
-            oldest = min(entries, key=lambda k: entries[k].get("__seq__", 0))
-            del entries[oldest]
-            self.evictions += 1
+        while len(records) > self.max_entries_per_shard:
+            del records[min(records, key=lambda k: records[k][0])]
             evicted += 1
+        self.evictions += evicted
         return evicted
+
+    def _decode(self, blob: bytes) -> Dict[str, Any]:
+        """One payload's JSON decode (counted in ``payload_decodes``);
+        raises ``ValueError`` unless the bytes are a JSON object."""
+        payload = json.loads(blob)
+        self.payload_decodes += 1
+        if not isinstance(payload, dict):
+            raise ValueError("payload is not an object")
+        return payload
 
     # ------------------------------------------------------------------
     # global insertion sequence + entry accounting
     # ------------------------------------------------------------------
-    def _shard_stats(self, shard_id: str) -> Tuple[int, int]:
-        """``(entry count, max seq)`` of one shard, as cheaply as possible.
-
-        Pure-binary shards answer from the record table without a single
-        payload decode; JSON (or mixed) shards pay the full parse they
-        would pay anyway.
-        """
-        if self.cache_shards and shard_id in self._shards:
-            entries = self._shards[shard_id]
-            return len(entries), max((e.get("__seq__", 0)
-                                      for e in entries.values()), default=0)
-        has_json, has_binary = self._shard_files(shard_id)
-        if has_binary and not has_json:
-            reader = self._reader(shard_id)
-            return reader.seq_stats() if reader is not None else (0, 0)
-        entries = self._load_shard(shard_id)
-        return len(entries), max((e.get("__seq__", 0)
-                                  for e in entries.values()), default=0)
-
     def _seq_floor_scan(self) -> None:
         """One full-store scan establishing the sequence floor and count.
 
@@ -1118,9 +1022,9 @@ class SolutionStore:
         floor = 0
         total = 0
         for shard_id in self._shard_ids():
-            count, max_seq = self._shard_stats(shard_id)
-            total += count
-            floor = max(floor, max_seq)
+            reader = self._reader(shard_id)
+            total += reader.count
+            floor = max(floor, reader.max_seq())
         if self._next_seq is None or self._next_seq <= floor:
             self._next_seq = floor + 1
         self._entry_total = total
@@ -1142,30 +1046,14 @@ class SolutionStore:
     # public API
     # ------------------------------------------------------------------
     def _find(self, shard_id: str, key: str) -> Optional[_Found]:
-        """One lookup of ``key``, trusting whatever shard state is cached.
+        """One lookup of ``key`` in the shard's reader, as held.
 
-        The fast path: an open packed reader answers from its record
-        table -- a binary search plus, the first time, one payload decode
-        (none for alias entries) -- without a single ``stat``.  A shard
-        held decoded in memory answers from its dict, with each hit's
-        lookup result kept (``_entry_found``); any other shard is opened
-        (packed) or fully decoded (JSON or mixed) first.
+        A binary search over the record table plus, on the key's first
+        hit, one payload decode (none for alias entries) whose checked
+        result the reader keeps -- without a single ``stat`` once the
+        shard is open.
         """
-        if self.cache_shards and shard_id in self._shards:
-            memo = self._entry_found.setdefault(shard_id, {})
-            found = memo.get(key)
-            if found is None:
-                found = _found_entry(self._shards[shard_id].get(key))
-                if found is not None:
-                    memo[key] = found
-            return found
-        reader = self._readers.get(shard_id)
-        if reader is None:
-            if self._shard_files(shard_id) != (False, True):
-                return _found_entry(self._load_shard(shard_id).get(key))
-            reader = self._reader(shard_id)
-            if reader is None:
-                return None
+        reader = self._reader(shard_id)
         found = reader.found.get(key)
         if found is not None:
             return found
@@ -1173,20 +1061,14 @@ class SolutionStore:
         if index is None:
             return None
         try:
-            _key, _seq, offset, length, flags = reader.record(index)
-            blob = reader.blob(offset, length)
+            _key, _seq, blob, flags = reader.record(index)
             if flags & _FLAG_ALIAS:
                 found = _Found(alias_of=blob.decode("utf-8"))
                 self.alias_fast_hits += 1
             else:
-                payload = json.loads(blob)
-                self.payload_decodes += 1
-                if not isinstance(payload, dict):
-                    raise ValueError("payload is not an object")
-                found = _Found(blob=blob,
-                               spliceable=_spliceable(key, blob, payload))
-        except (_ShardCorrupt, struct.error, UnicodeDecodeError,
-                json.JSONDecodeError, ValueError):
+                found = _Found(blob=blob, spliceable=_spliceable(
+                    key, blob, self._decode(blob)))
+        except _RECORD_ERRORS:
             self.corrupt_shards += 1
             return None
         reader.found[key] = found
@@ -1195,16 +1077,16 @@ class SolutionStore:
     def _find_many(self, keys, *, batched: bool) -> Dict[str, Optional[_Found]]:
         """The store's one lookup pass: ``{key: found-or-None}``.
 
-        A miss against *cached* shard state is revalidated against the
-        on-disk signature before it is believed: when another process
-        sharing the root rewrote the shard since we cached it, the shard
-        is reloaded and the lookup retried (``stale_shard_reloads``).
-        That check runs once per *shard*, on its first miss -- later
-        misses in the same shard trust the now fresh cache.  Hits are
-        served straight from the cache: entries are immutable once
-        written, so a cached hit can never be wrong, and the hot path
-        stays stat-free.  Duplicate keys are resolved once; ``batched``
-        lookups are also counted in ``batched_lookups``.
+        A miss against a held shard is revalidated against the on-disk
+        signature before it is believed: when another process sharing the
+        root rewrote the shard since we read it, the shard is reloaded
+        and the lookup retried (``stale_shard_reloads``).  That check runs
+        once per *shard*, on its first miss -- later misses in the same
+        shard trust the now fresh reader.  Hits are served straight from
+        the reader: entries are immutable once written, so a held hit can
+        never be wrong, and the hot path stays stat-free.  Duplicate keys
+        are resolved once; ``batched`` lookups are also counted in
+        ``batched_lookups``.
         """
         results: Dict[str, Optional[_Found]] = {}
         with self._lock:
@@ -1214,14 +1096,13 @@ class SolutionStore:
                     results[key] = None
                     by_shard.setdefault(self._shard_id(key), []).append(key)
             for shard_id, shard_keys in by_shard.items():
-                revalidated = not self.cache_shards
+                revalidated = False
                 for key in shard_keys:
                     found = self._find(shard_id, key)
                     if found is None and not revalidated:
                         revalidated = True
-                        recorded = self._shard_sigs.get(shard_id)
-                        if recorded is not None and \
-                                self._shard_signature(shard_id) != recorded:
+                        if self._shard_signature(shard_id) != \
+                                self._shard_sigs[shard_id]:
                             self._invalidate_shard(shard_id)
                             found = self._find(shard_id, key)
                             if found is not None:
@@ -1235,28 +1116,9 @@ class SolutionStore:
                         results[key] = found
         return results
 
-    def _report_bytes(self, key: str, found: _Found) -> Optional[bytes]:
-        """The validated report bytes of an entry stored under ``key``, or
-        ``None`` (counted in ``corrupt_shards``) when it is no report.
-
-        A packed payload was checked once, when its reader first served
-        it.  An entry of a shard held decoded in memory yields the bytes a
-        packed write would store (:func:`_pack_shard`'s encoding), checked
-        on its first read; the lookup result keeps them until the shard's
-        cached entries are replaced or dropped.
-        """
-        if found.entry is not None and found.blob is None:
-            with self._lock:
-                if found.blob is None:
-                    payload = {k: v for k, v in found.entry.items()
-                               if k != "__seq__"}
-                    try:
-                        blob = json.dumps(payload, sort_keys=True,
-                                          separators=(",", ":")).encode("utf-8")
-                        found.spliceable = _spliceable(key, blob, payload)
-                    except (TypeError, ValueError):
-                        blob, found.spliceable = b"", False
-                    found.blob = blob
+    def _report_bytes(self, found: _Found) -> Optional[bytes]:
+        """The checked report bytes of a found entry, or ``None`` (counted
+        in ``corrupt_shards``) when they are no report to splice."""
         if not found.spliceable:
             with self._lock:
                 self.corrupt_shards += 1
@@ -1279,7 +1141,7 @@ class SolutionStore:
             if hit is None:
                 results[key] = (targets.get(key), None)
             else:
-                results[key] = (true_key, self._report_bytes(true_key, hit))
+                results[key] = (true_key, self._report_bytes(hit))
         return results
 
     def get_raw_many(self, keys) -> Dict[str, Tuple[Optional[str], Optional[bytes]]]:
@@ -1329,54 +1191,23 @@ class SolutionStore:
                 for key, (true_key, blob) in self.get_raw_many(keys).items()}
 
     def put(self, key: str, payload: Dict[str, Any]) -> bool:
-        """Persist ``payload`` under ``key`` (atomic); returns ``True``.
-
-        Failed writes never raise: an unserializable payload *and* IO
-        errors (disk full, read-only store) are counted in
-        ``skipped_writes`` and the method returns ``False`` -- a store
-        write must not fail the solve that produced the payload.
-        """
-        with self._lock:
-            shard_id = self._shard_id(key)
-            # Merge against the shard on disk, not a possibly-stale memory
-            # copy, so entries another process wrote since our first read
-            # are kept; the per-shard advisory lock holds the whole
-            # read-modify-write cycle, closing the cross-process window
-            # (a timed-out lock degrades to the old last-writer-wins
-            # atomic write, counted in ``lock_timeouts``).
-            held = self._guard(shard_id)
-            try:
-                self._invalidate_shard(shard_id)
-                entries = dict(self._load_shard(shard_id))
-                fresh = key not in entries
-                entry = dict(payload)
-                entry["__seq__"] = self._allocate_seq()
-                entries[key] = entry
-                evicted = self._evict(entries)
-                try:
-                    self._write_shard(shard_id, entries)
-                except (OSError, TypeError, ValueError):
-                    self.skipped_writes += 1
-                    self._invalidate_shard(shard_id)
-                    self._entry_total = None  # count uncertain; rescan lazily
-                    return False
-            finally:
-                if held is not None:
-                    held.release()
-            self.writes += 1
-            if self._entry_total is not None:
-                self._entry_total += (1 if fresh else 0) - evicted
-            self._maybe_gc()
-            return True
+        """Persist ``payload`` under ``key`` (atomic): :meth:`put_many` of
+        one pair, so a failed write returns ``False`` instead of raising."""
+        return self.put_many([(key, payload)]) == 1
 
     def put_many(self, items: Sequence[Tuple[str, Dict[str, Any]]]) -> int:
         """Persist many ``(key, payload)`` pairs; returns how many stuck.
 
         Pairs are grouped by shard so each shard pays one read-modify-write
         regardless of how many entries land in it -- the bulk-write path
-        the sweep service uses after each completed shard.  Same failure
-        semantics as :meth:`put` (never raises; failed shards are counted
-        in ``skipped_writes`` per entry).
+        the sweep service uses after each completed shard.  The rewrite
+        carries the shard's other records as bytes and encodes only the
+        new payloads: no write decodes a payload.
+
+        Failed writes never raise: an unserializable payload *and* IO
+        errors (disk full, read-only store) are counted in
+        ``skipped_writes`` (per entry of the failed shard) -- a store
+        write must not fail the solve that produced the payload.
         """
         by_shard: Dict[str, List[Tuple[str, Dict[str, Any]]]] = {}
         for key, payload in items:
@@ -1384,19 +1215,25 @@ class SolutionStore:
         written = 0
         with self._lock:
             for shard_id, pairs in by_shard.items():
+                # Merge against the shard on disk, not a possibly-stale
+                # reader, so entries another process wrote since our first
+                # read are kept; the per-shard advisory lock holds the
+                # whole read-modify-write cycle, closing the cross-process
+                # window (a timed-out lock degrades to the old
+                # last-writer-wins atomic write, counted in
+                # ``lock_timeouts``).
                 held = self._guard(shard_id)
                 try:
                     self._invalidate_shard(shard_id)
-                    entries = dict(self._load_shard(shard_id))
+                    records = self._shard_records(shard_id)
                     fresh = 0
-                    for key, payload in pairs:
-                        fresh += key not in entries
-                        entry = dict(payload)
-                        entry["__seq__"] = self._allocate_seq()
-                        entries[key] = entry
-                    evicted = self._evict(entries)
                     try:
-                        self._write_shard(shard_id, entries)
+                        for key, payload in pairs:
+                            fresh += key not in records
+                            records[key] = (self._allocate_seq(),
+                                            *_encode_payload(payload))
+                        evicted = self._evict(records)
+                        self._write_shard(shard_id, records)
                     except (OSError, TypeError, ValueError):
                         self.skipped_writes += len(pairs)
                         self._invalidate_shard(shard_id)
@@ -1416,8 +1253,9 @@ class SolutionStore:
     def put_reports(self, pairs) -> int:
         """Persist many ``(key, SolveReport)`` pairs (see :meth:`put_many`).
 
-        Reports whose solutions have no stable JSON form are skipped and
-        counted, exactly like :meth:`put_report`.
+        Unserializable solutions (exotic allocation keys / metadata) are
+        skipped and counted in ``skipped_writes`` -- the solve still
+        succeeded, it just is not persisted.
         """
         encoded = []
         for key, report in pairs:
@@ -1429,19 +1267,9 @@ class SolutionStore:
         return self.put_many(encoded)
 
     def put_report(self, key: str, report) -> bool:
-        """Persist a :class:`~repro.engine.core.SolveReport` under ``key``.
-
-        Unserializable solutions (exotic allocation keys / metadata) are
-        skipped gracefully -- the solve still succeeded, it just is not
-        persisted.
-        """
-        try:
-            payload = report_to_payload(report, key)
-        except UnserializableSolutionError:
-            with self._lock:
-                self.skipped_writes += 1
-            return False
-        return self.put(key, payload)
+        """Persist one :class:`~repro.engine.core.SolveReport` under
+        ``key``: :meth:`put_reports` of one pair."""
+        return self.put_reports([(key, report)]) == 1
 
     def get_report(self, key: str):
         """The stored ``SolveReport`` for ``key``, or ``None``.
@@ -1471,10 +1299,12 @@ class SolutionStore:
         (:meth:`solve_claim_holder`) and then answers from the store
         instead of solving again.  Claims are an O_EXCL pid-breadcrumb
         file per key; a claim whose holder died is taken over
-        (``stale_claims_recovered``), and any filesystem trouble makes
-        the method return ``True`` -- claims only ever *avoid* work,
-        they must never block a solve.  No-op (always ``True``) when
-        ``locking=False``.
+        (``stale_claims_recovered``) under the store lock ``claims``, and
+        only while its breadcrumb still names the dead holder -- two
+        takers that read the same dead pid leave one claim, not two.  Any
+        filesystem trouble makes the method return ``True`` -- claims only
+        ever *avoid* work, they must never block a solve.  No-op (always
+        ``True``) when ``locking=False``.
         """
         if not self.locking:
             return True
@@ -1487,12 +1317,7 @@ class SolutionStore:
             except FileExistsError:
                 holder = _read_breadcrumb(path)
                 if holder is not None and not _pid_alive(holder):
-                    try:
-                        os.unlink(path)
-                    except OSError:  # pragma: no cover - lost the race
-                        pass
-                    with self._lock:
-                        self.stale_claims_recovered += 1
+                    self._take_over_claim(path, holder)
                     continue
                 with self._lock:
                     self.claims_contended += 1
@@ -1509,6 +1334,25 @@ class SolutionStore:
                 self.claims_acquired += 1
             return True
         return True  # lost two takeover races: just solve
+
+    def _take_over_claim(self, path: str, holder: int) -> None:
+        """Unlink a dead ``holder``'s claim file, under the ``claims`` lock
+        and only if its breadcrumb still names that holder."""
+        with self._lock:
+            held = self._guard("claims")
+        if held is None:
+            return
+        try:
+            if _read_breadcrumb(path) != holder:
+                return  # another taker claimed it since we looked
+            try:
+                os.unlink(path)
+            except OSError:  # pragma: no cover - claim released meanwhile
+                return
+        finally:
+            held.release()
+        with self._lock:
+            self.stale_claims_recovered += 1
 
     def release_solve_claim(self, key: str) -> None:
         """Drop the claim on ``key`` (idempotent, never raises)."""
@@ -1546,11 +1390,12 @@ class SolutionStore:
         insertion sequence, which is seeded above every persisted entry on
         reopen -- so the order holds across shards and across restarts
         (concurrent writer processes interleave approximately; see
-        :meth:`_seq_floor_scan`).  Touched shards are rewritten
-        atomically; a shard whose rewrite fails keeps its old blob (the
-        failure is counted in ``skipped_writes``, never raised).  Returns
-        the number of entries evicted and increments the ``compactions``
-        counter once per run.
+        :meth:`_seq_floor_scan`).  Victims are chosen from the record
+        tables alone, and touched shards are rewritten atomically from
+        their records' bytes; a shard whose rewrite fails keeps its old
+        blob (the failure is counted in ``skipped_writes``, never raised).
+        Returns the number of entries evicted and increments the
+        ``compactions`` counter once per run.
 
         ``max_entries`` defaults to the store's configured
         ``max_total_entries`` (one of the two must be set).
@@ -1572,18 +1417,15 @@ class SolutionStore:
                     self.compactions_skipped += 1
                     return 0
             try:
-                shard_entries = {shard_id: dict(self._load_shard(shard_id))
-                                 for shard_id in self._shard_ids()}
-                total = sum(len(entries)
-                            for entries in shard_entries.values())
+                oldest_first = sorted(
+                    (seq, shard_id, key) for shard_id in self._shard_ids()
+                    for key, seq, _blob, _flags
+                    in self._records(self._reader(shard_id)))
+                total = len(oldest_first)
                 self.compactions += 1
                 excess = total - cap
                 if excess <= 0:
                     return 0
-                oldest_first = sorted(
-                    (entry.get("__seq__", 0), shard_id, key)
-                    for shard_id, entries in shard_entries.items()
-                    for key, entry in entries.items())
                 victims: Dict[str, List[str]] = {}
                 for _seq, shard_id, key in oldest_first[:excess]:
                     victims.setdefault(shard_id, []).append(key)
@@ -1597,14 +1439,14 @@ class SolutionStore:
                     held = self._guard(shard_id)
                     try:
                         self._invalidate_shard(shard_id)
-                        entries = dict(self._load_shard(shard_id))
+                        records = self._shard_records(shard_id)
                         removed = [key for key in victims[shard_id]
-                                   if key in entries]
+                                   if key in records]
                         for key in removed:
-                            del entries[key]
+                            del records[key]
                         try:
-                            self._write_shard(shard_id, entries)
-                        except (OSError, TypeError, ValueError):
+                            self._write_shard(shard_id, records)
+                        except (OSError, ValueError):
                             self.skipped_writes += 1
                             self._invalidate_shard(shard_id)
                             clean = False
@@ -1625,50 +1467,35 @@ class SolutionStore:
                 if election is not None:
                     election.release()
 
-    def migrate(self, target_format: Optional[str] = None) -> Dict[str, int]:
-        """Rewrite every shard into ``target_format`` (default: the store's
-        configured ``shard_format``).
+    def migrate(self) -> Dict[str, int]:
+        """Rewrite every shard as a packed ``.rps`` file, in one pass.
 
-        The v1 -> v2 upgrade path (and, symmetrically, the v2 -> v1
-        escape hatch): each shard is fully decoded -- whatever format it
-        is in -- and rewritten atomically in the target format, preserving
-        every payload and the global insertion sequence bit for bit.
-        ``meta.json`` is refreshed afterwards.  Returns
+        The one-way v1 -> v2 upgrade of a whole root (writes convert the
+        shards they touch anyway): each shard's records -- a v1 shard's
+        converted in memory -- are packed and written atomically,
+        preserving every payload and the global insertion sequence bit
+        for bit.  ``meta.json`` is refreshed afterwards.  Returns
         ``{"shards": rewritten, "entries": carried, "failed": skipped}``;
         failed shard rewrites keep their old blob (counted in
         ``skipped_writes`` as usual) so a partial migration is still a
         fully readable mixed-format store.
         """
-        target = target_format if target_format is not None else self.shard_format
-        require(target in ("binary", "json"),
-                "target_format must be 'binary' or 'json'")
         with self._lock:
-            previous_format = self.shard_format
-            self.shard_format = target
             shards = entries_carried = failed = 0
+            for shard_id in self._shard_ids():
+                records = self._shard_records(shard_id)
+                try:
+                    self._write_shard(shard_id, records)
+                except (OSError, ValueError):
+                    self.skipped_writes += 1
+                    self._invalidate_shard(shard_id)
+                    failed += 1
+                    continue
+                shards += 1
+                entries_carried += len(records)
+                self.migrated_shards += 1
             try:
-                for shard_id in self._shard_ids():
-                    entries = dict(self._load_shard(shard_id))
-                    try:
-                        self._write_shard(shard_id, entries)
-                    except (OSError, TypeError, ValueError):
-                        self.skipped_writes += 1
-                        self._invalidate_shard(shard_id)
-                        failed += 1
-                        continue
-                    shards += 1
-                    entries_carried += len(entries)
-                    self.migrated_shards += 1
-            except BaseException:
-                self.shard_format = previous_format
-                raise
-            try:
-                atomic_write_json(self._meta_path, {
-                    "schema": STORE_SCHEMA_VERSION,
-                    "format": "repro-solution-store/packed-v2",
-                    "shard_width": self.shard_width,
-                    "shard_format": self.shard_format,
-                }, fsync=self.durable)
+                self._write_meta()
             except OSError:
                 self.skipped_writes += 1
             return {"shards": shards, "entries": entries_carried,
@@ -1684,7 +1511,7 @@ class SolutionStore:
         """Total entries across every shard on disk (exact; refreshes the
         cached count the GC trigger uses)."""
         with self._lock:
-            total = sum(self._shard_stats(shard_id)[0]
+            total = sum(self._reader(shard_id).count
                         for shard_id in self._shard_ids())
             self._entry_total = total
             return total
@@ -1700,85 +1527,67 @@ class SolutionStore:
                    if name.endswith(".rps") and not name.startswith(".tmp-"))
         return sorted(ids)
 
-    def payloads(self) -> Iterator[Tuple[str, Dict[str, Any]]]:
-        """Iterate ``(key, payload)`` over every stored entry (all shards).
+    def _walk(self, *, aliases: bool,
+              owned: Optional[Callable[[str], bool]] = None
+              ) -> Iterator[Tuple[str, Dict[str, Any]]]:
+        """The one record walk behind :meth:`payloads`, :meth:`scan` and
+        :meth:`scan_routed`: ``(key, payload)``, shard by shard, in key
+        order.
 
-        Fully decodes every entry (alias payloads included); use
-        :meth:`scan` for the bulk path that skips alias entries without
-        decoding them.
+        Alias entries come straight off their bytes as ``{"alias_of":
+        target}`` -- or, without ``aliases``, are skipped from the record
+        flags (``scan_alias_skips``).  ``owned`` filters on the route key
+        (an alias's target, any other entry's own key) before a payload
+        is decoded.  A payload that cannot be read is counted in
+        ``corrupt_shards`` and skipped.
         """
+        for shard_id in self._shard_ids():
+            for key, _seq, blob, flags in self._records(self._reader(shard_id)):
+                alias = flags & _FLAG_ALIAS
+                if alias and not aliases:
+                    self.scan_alias_skips += 1
+                    continue
+                try:
+                    route = blob.decode("utf-8") if alias else key
+                except UnicodeDecodeError:
+                    self.corrupt_shards += 1
+                    continue
+                if owned is not None and not owned(route):
+                    continue
+                if alias:
+                    yield key, {"alias_of": route}
+                    continue
+                try:
+                    payload = self._decode(blob)
+                except ValueError:
+                    self.corrupt_shards += 1
+                    continue
+                yield key, payload
+
+    def payloads(self) -> Iterator[Tuple[str, Dict[str, Any]]]:
+        """Iterate ``(key, payload)`` over every stored entry (all shards),
+        alias entries included; :meth:`scan` is the counted bulk path."""
         with self._lock:
-            for shard_id in self._shard_ids():
-                for key, entry in sorted(self._load_shard(shard_id).items()):
-                    yield key, {k: v for k, v in entry.items() if k != "__seq__"}
+            yield from self._walk(aliases=True)
 
     def scan(self, *, include_aliases: bool = False) -> Iterator[Tuple[str, Dict[str, Any]]]:
         """Bulk-iterate ``(key, payload)`` across the whole store, lazily.
 
         The one-pass feeder for table regeneration
-        (:func:`repro.analysis.sweep.sweep_records`): packed v2 shards
-        stream straight off the record table -- one JSON decode per
-        non-alias payload, **zero** full-shard parses and **zero** decodes
-        for alias entries, which are skipped from the record flags alone
-        (counted in ``scan_alias_skips``).  With ``include_aliases=True``
-        alias entries are yielded as ``{"alias_of": key}``, still without
-        touching JSON.  Legacy JSON shards fall back to the full parse
-        they always required.  ``scans`` / ``scan_entries`` count the
-        traffic.
+        (:func:`repro.analysis.sweep.sweep_records`): shards stream
+        straight off their record tables -- one JSON decode per non-alias
+        payload and **zero** decodes for alias entries, which are skipped
+        from the record flags alone (counted in ``scan_alias_skips``).
+        With ``include_aliases=True`` alias entries are yielded as
+        ``{"alias_of": key}``, still without touching JSON.  A legacy v1
+        shard costs the one parse that converts it.  ``scans`` /
+        ``scan_entries`` count the traffic.
         """
         with self._lock:
             self.scans += 1
-            for shard_id in self._shard_ids():
-                if self.cache_shards and shard_id in self._shards:
-                    source = self._shards[shard_id]
-                elif self._shard_files(shard_id) == (False, True):
-                    yield from self._scan_binary(shard_id,
-                                                 include_aliases=include_aliases)
-                    continue
-                else:
-                    source = self._load_shard(shard_id)
-                for key, entry in sorted(source.items()):
-                    payload = {k: v for k, v in entry.items() if k != "__seq__"}
-                    if _is_alias_payload(payload) and not include_aliases:
-                        self.scan_alias_skips += 1
-                        continue
-                    self.scan_entries += 1
-                    yield key, payload
-
-    def _scan_binary(self, shard_id: str, *,
-                     include_aliases: bool) -> Iterator[Tuple[str, Dict[str, Any]]]:
-        """One packed shard's slice of :meth:`scan` (no full decode)."""
-        reader = self._reader(shard_id)
-        if reader is None:
-            return
-        for index in range(reader.count):
-            try:
-                key, _seq, offset, length, flags = reader.record(index)
-            except (struct.error, UnicodeDecodeError):
-                self.corrupt_shards += 1
-                continue
-            if flags & _FLAG_ALIAS:
-                if not include_aliases:
-                    self.scan_alias_skips += 1
-                    continue
-                try:
-                    payload = {"alias_of":
-                               reader.blob(offset, length).decode("utf-8")}
-                except (_ShardCorrupt, UnicodeDecodeError):
-                    self.corrupt_shards += 1
-                    continue
-            else:
-                try:
-                    payload = json.loads(reader.blob(offset, length).decode("utf-8"))
-                    self.payload_decodes += 1
-                    if not isinstance(payload, dict):
-                        raise ValueError("payload is not an object")
-                except (_ShardCorrupt, UnicodeDecodeError,
-                        json.JSONDecodeError, ValueError):
-                    self.corrupt_shards += 1
-                    continue
-            self.scan_entries += 1
-            yield key, payload
+            for key, payload in self._walk(aliases=include_aliases):
+                self.scan_entries += 1
+                yield key, payload
 
     def scan_routed(self, ring: Any, owner: str, *,
                     include_aliases: bool = True) -> Iterator[Tuple[str, Dict[str, Any]]]:
@@ -1794,97 +1603,33 @@ class SolutionStore:
         Routing keys: a report entry routes by its own store key (the
         request fingerprint); an **alias** entry routes by its *target*
         fingerprint, so an alias and the report it points at always land
-        on -- and prewarm into -- the same runner.  On packed v2 shards
-        the filter is decode-free for rejected report entries (the route
-        key is the record-table key; only accepted payloads are JSON-
-        decoded) and alias targets come straight off the blob, exactly the
+        on -- and prewarm into -- the same runner.  The filter is
+        decode-free for rejected report entries (the route key is the
+        record-table key; only accepted payloads are JSON-decoded) and
+        alias targets come straight off the blob, exactly the
         :meth:`scan` fast path.  Alias payloads are yielded as
         ``{"alias_of": target}``.
 
         ``routed_scans`` / ``routed_entries`` / ``routed_skips`` count the
         traffic; skips are entries owned by someone else.
         """
+        def owned(route_key: str) -> bool:
+            if ring.route(route_key) == owner:
+                return True
+            self.routed_skips += 1
+            return False
+
         with self._lock:
             self.routed_scans += 1
-            for shard_id in self._shard_ids():
-                if (not (self.cache_shards and shard_id in self._shards)
-                        and self._shard_files(shard_id) == (False, True)):
-                    yield from self._scan_binary_routed(
-                        shard_id, ring, owner,
-                        include_aliases=include_aliases)
-                    continue
-                if self.cache_shards and shard_id in self._shards:
-                    source = self._shards[shard_id]
-                else:
-                    source = self._load_shard(shard_id)
-                for key, entry in sorted(source.items()):
-                    payload = {k: v for k, v in entry.items()
-                               if k != "__seq__"}
-                    if _is_alias_payload(payload):
-                        if not include_aliases:
-                            self.scan_alias_skips += 1
-                            continue
-                        target = payload.get("alias_of")
-                        route_key = target if isinstance(target, str) else key
-                        payload = {"alias_of": target}
-                    else:
-                        route_key = key
-                    if ring.route(route_key) != owner:
-                        self.routed_skips += 1
-                        continue
-                    self.routed_entries += 1
-                    yield key, payload
-
-    def _scan_binary_routed(self, shard_id: str, ring: Any, owner: str, *,
-                            include_aliases: bool) -> Iterator[Tuple[str, Dict[str, Any]]]:
-        """One packed shard's slice of :meth:`scan_routed` (decode-free
-        rejection: non-owned report entries never have their blob read)."""
-        reader = self._reader(shard_id)
-        if reader is None:
-            return
-        for index in range(reader.count):
-            try:
-                key, _seq, offset, length, flags = reader.record(index)
-            except (struct.error, UnicodeDecodeError):
-                self.corrupt_shards += 1
-                continue
-            if flags & _FLAG_ALIAS:
-                if not include_aliases:
-                    self.scan_alias_skips += 1
-                    continue
-                try:
-                    target = reader.blob(offset, length).decode("utf-8")
-                except (_ShardCorrupt, UnicodeDecodeError):
-                    self.corrupt_shards += 1
-                    continue
-                if ring.route(target) != owner:
-                    self.routed_skips += 1
-                    continue
+            for key, payload in self._walk(aliases=include_aliases,
+                                           owned=owned):
                 self.routed_entries += 1
-                yield key, {"alias_of": target}
-                continue
-            if ring.route(key) != owner:
-                self.routed_skips += 1
-                continue
-            try:
-                payload = json.loads(reader.blob(offset, length).decode("utf-8"))
-                self.payload_decodes += 1
-                if not isinstance(payload, dict):
-                    raise ValueError("payload is not an object")
-            except (_ShardCorrupt, UnicodeDecodeError,
-                    json.JSONDecodeError, ValueError):
-                self.corrupt_shards += 1
-                continue
-            self.routed_entries += 1
-            yield key, payload
+                yield key, payload
 
     def refresh(self) -> None:
-        """Drop the in-memory shard cache (re-read other processes' writes)."""
+        """Drop every held shard (re-read other processes' writes)."""
         with self._lock:
-            self._shards.clear()
-            self._entry_found.clear()
             self._readers.clear()
-            self._failed_readers.clear()
             self._shard_sigs.clear()
             # Another process may have added entries (and higher sequence
             # numbers); rescan both lazily on next use.
@@ -1901,10 +1646,7 @@ class SolutionStore:
                         os.unlink(path)
                     except OSError:
                         pass
-            self._shards.clear()
-            self._entry_found.clear()
             self._readers.clear()
-            self._failed_readers.clear()
             self._shard_sigs.clear()
             self._entry_total = 0
             self._next_seq = None
@@ -1935,7 +1677,6 @@ class SolutionStore:
             return {
                 "root": self.root,
                 "schema": STORE_SCHEMA_VERSION,
-                "shard_format": self.shard_format,
                 "durable": self.durable,
                 "entries": self.entry_count(),
                 "shards": len(self._shard_ids()),

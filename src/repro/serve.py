@@ -94,6 +94,7 @@ from __future__ import annotations
 import argparse
 import asyncio
 import json
+import signal
 import socket
 import sys
 from dataclasses import dataclass
@@ -1122,12 +1123,29 @@ async def _run_server(args: argparse.Namespace) -> None:
           f"(executor={args.executor}, store={args.store or 'none'}"
           f"{resume})",
           flush=True)
+    await serve_until_signalled(server, "repro.serve")
+
+
+async def serve_until_signalled(front: LineServer, name: str) -> None:
+    """Serve a started ``front`` until SIGINT or SIGTERM, then close it.
+
+    Either signal cancels the serving task, so :meth:`LineServer.aclose`
+    -- and with it a runner's service and worker pool -- runs however
+    the process is stopped: Ctrl-C, ``timeout``, a process supervisor, or
+    the teardown of ``python -m repro.cluster``.  The close itself is
+    never cancelled: a repeated signal changes nothing.
+    """
+    serving = asyncio.ensure_future(front.serve_forever())
+    loop = asyncio.get_running_loop()
+    for signum in (signal.SIGINT, signal.SIGTERM):
+        loop.add_signal_handler(signum, serving.cancel)
     try:
-        await server.serve_forever()
-    except asyncio.CancelledError:  # pragma: no cover - Ctrl-C path
-        pass
+        await asyncio.wait([serving])
+        if not serving.cancelled():
+            serving.result()  # serve_forever only ends by failing
+        print(f"{name}: shutting down", flush=True)
     finally:
-        await server.aclose()
+        await front.aclose()
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -1135,7 +1153,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         asyncio.run(_run_server(args))
-    except KeyboardInterrupt:  # pragma: no cover - interactive teardown
+    except KeyboardInterrupt:  # pragma: no cover - Ctrl-C before serving
         print("repro.serve: shutting down", flush=True)
     return 0
 

@@ -13,6 +13,12 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
+import signal
+import subprocess
+import sys
+import tempfile
+import time
 
 import pytest
 
@@ -527,3 +533,52 @@ class TestClusterLoadgen:
         # Ring routing means each unique cell is solved exactly once
         # cluster-wide: the aggregated dedup matches a single runner's.
         assert report.cells_solved == report.schedule["unique_cells"]
+
+
+# ---------------------------------------------------------------------------
+# teardown on SIGTERM: no process of the cluster outlives the router
+# ---------------------------------------------------------------------------
+
+class TestSignalTeardown:
+    def test_sigterm_stops_router_runners_and_pool_workers(self, tmp_path):
+        """SIGTERM is what ``timeout``, process supervisors and the
+        router's own teardown send; the router, its runners and their
+        pool workers must all exit, leaving the process group empty."""
+        sock_dir = tempfile.mkdtemp(prefix="sigterm-")  # short unix path
+        sock = os.path.join(sock_dir, "router.sock")
+        router = subprocess.Popen(
+            [sys.executable, "-m", "repro.cluster", "--spawn", "2",
+             "--workers", "1", "--unix", sock,
+             "--store", str(tmp_path / "store")],
+            stdout=subprocess.DEVNULL, start_new_session=True)
+        pgid = router.pid
+        try:
+            deadline = time.monotonic() + 60
+            while not os.path.exists(sock):
+                assert router.poll() is None, "router exited before binding"
+                assert time.monotonic() < deadline, "router never bound"
+                time.sleep(0.05)
+            specs = list(GRID.expand())[:4]
+            lines = run_async(request_sweep_spec(specs, unix_socket=sock))
+            assert [line["source"] for line in lines] == ["computed"] * 4
+
+            os.kill(router.pid, signal.SIGTERM)
+            assert router.wait(timeout=30) == 0
+            deadline = time.monotonic() + 10
+            while True:
+                try:
+                    os.killpg(pgid, 0)
+                except ProcessLookupError:
+                    break
+                assert time.monotonic() < deadline, \
+                    "a runner or pool worker outlived the router"
+                time.sleep(0.05)
+        finally:
+            try:
+                os.killpg(pgid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            router.wait(timeout=10)
+            if os.path.exists(sock):
+                os.unlink(sock)
+            os.rmdir(sock_dir)

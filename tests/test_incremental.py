@@ -41,6 +41,7 @@ from repro.engine.service import (
     load_manifest_state,
     write_manifest,
 )
+from repro.engine import store as store_module
 from repro.engine.store import SolutionStore, report_to_payload
 from repro.scenarios import (
     Axis,
@@ -358,6 +359,36 @@ class TestSolveClaims:
         assert other.solve_claim_holder("cell-1") is None
         assert other.claim_solve("cell-1")
         assert other.stale_claims_recovered == 1
+
+    def test_two_takers_of_one_dead_claim_leave_one_claim(self, tmp_path,
+                                                           monkeypatch):
+        """Both handles read the same dead holder; the first takes the
+        claim over between the second's read and its takeover.  The
+        second must find the fresh claim live, not unlink it."""
+        root = str(tmp_path / "store")
+        first, second = SolutionStore(root), SolutionStore(root)
+        dead = 4_000_000_007
+        os.makedirs(os.path.join(root, "claims"))
+        with open(first._claim_path("cell-1"), "w", encoding="utf-8") as handle:
+            handle.write(str(dead))
+        read = store_module._read_breadcrumb
+        raced = []
+
+        def read_then_race(source):
+            holder = read(source)
+            if holder == dead and not raced:
+                raced.append(None)          # race once: first's reads pass
+                raced[0] = first.claim_solve("cell-1")
+            return holder
+
+        monkeypatch.setattr(store_module, "_pid_alive", lambda pid: pid != dead)
+        monkeypatch.setattr(store_module, "_read_breadcrumb", read_then_race)
+        raced.append(second.claim_solve("cell-1"))
+        assert raced == [True, False]
+        assert second.solve_claim_holder("cell-1") == os.getpid()
+        assert first.claims_acquired + second.claims_acquired == 1
+        assert first.stale_claims_recovered + second.stale_claims_recovered == 1
+        assert first.claims_contended + second.claims_contended == 1
 
     def test_contended_but_unfinished_cell_solved_anyway(self, tmp_path,
                                                          monkeypatch):

@@ -31,6 +31,7 @@ from repro.engine import (
     solve,
 )
 from repro.engine.store import report_from_payload, report_to_payload
+from v1_shards import write_v1_store
 
 
 @pytest.fixture(autouse=True)
@@ -151,13 +152,6 @@ class TestStoreBasics:
         shard_files = os.listdir(os.path.join(store.root, "shards"))
         assert sorted(shard_files) == ["aa.rps", "ab.rps"]
 
-    def test_json_format_still_writable(self, tmp_path):
-        store = SolutionStore(str(tmp_path / "s"), shard_format="json")
-        store.put("aa" + "0" * 62, {"v": 1})
-        shard_files = os.listdir(os.path.join(store.root, "shards"))
-        assert shard_files == ["aa.json"]
-        assert SolutionStore(store.root).get("aa" + "0" * 62) == {"v": 1}
-
     def test_eviction_keeps_newest(self, tmp_path):
         store = SolutionStore(str(tmp_path / "s"), max_entries_per_shard=3)
         keys = ["aa" + format(i, "062d") for i in range(5)]
@@ -202,68 +196,68 @@ class TestStoreBasics:
 # ---------------------------------------------------------------------------
 
 class TestStoreCorruption:
-    # The hand-editing tests below target the legacy v1 JSON shards
-    # explicitly; the packed v2 equivalents live in test_store_format.py.
+    # The hand-editing tests below target legacy v1 JSON shards, written
+    # by ``v1_shards.write_v1_store``; the packed v2 equivalents live in
+    # test_store_format.py.
     @pytest.fixture()
-    def store(self, tmp_path):
-        return SolutionStore(str(tmp_path / "store"), shard_format="json")
+    def root(self, tmp_path):
+        return str(tmp_path / "store")
 
-    def test_truncated_shard_blob_is_a_miss(self, store):
+    def test_truncated_shard_blob_is_a_miss(self, root):
         key = "aa" + "0" * 62
-        store.put(key, {"v": 1})
-        path = os.path.join(store.root, "shards", "aa.json")
+        write_v1_store(root, [(key, {"v": 1})])
+        path = os.path.join(root, "shards", "aa.json")
         blob = open(path, encoding="utf-8").read()
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(blob[: len(blob) // 2])  # truncate mid-JSON
-        fresh = SolutionStore(store.root)
+        fresh = SolutionStore(root)
         assert fresh.get(key) is None
         assert fresh.info()["corrupt_shards"] == 1
         # the next write repairs the shard
         assert fresh.put(key, {"v": 2})
-        assert SolutionStore(store.root).get(key) == {"v": 2}
+        assert SolutionStore(root).get(key) == {"v": 2}
 
-    def test_schema_mismatch_is_a_miss(self, store):
+    def test_schema_mismatch_is_a_miss(self, root):
         key = "aa" + "0" * 62
-        store.put(key, {"v": 1})
-        path = os.path.join(store.root, "shards", "aa.json")
+        write_v1_store(root, [(key, {"v": 1})])
+        path = os.path.join(root, "shards", "aa.json")
         blob = json.load(open(path, encoding="utf-8"))
         blob["schema"] = STORE_SCHEMA_VERSION + 1
         json.dump(blob, open(path, "w", encoding="utf-8"))
-        fresh = SolutionStore(store.root)
+        fresh = SolutionStore(root)
         assert fresh.get(key) is None
         assert fresh.info()["schema_mismatches"] == 1
 
-    def test_malformed_blob_shape_is_a_miss(self, store):
-        path = os.path.join(store.root, "shards", "aa.json")
+    def test_malformed_blob_shape_is_a_miss(self, root):
+        store = SolutionStore(root)
+        path = os.path.join(root, "shards", "aa.json")
         json.dump(["not", "a", "shard"], open(path, "w", encoding="utf-8"))
         assert store.get("aa" + "0" * 62) is None
         assert store.info()["corrupt_shards"] >= 1
 
-    def test_non_dict_entry_values_skipped_not_crash(self, store):
+    def test_non_dict_entry_values_skipped_not_crash(self, root):
         good = "aa" + "0" * 62
         bad = "aa" + "1" * 62
-        store.put(good, {"v": 1})
-        path = os.path.join(store.root, "shards", "aa.json")
+        write_v1_store(root, [(good, {"v": 1})])
+        path = os.path.join(root, "shards", "aa.json")
         blob = json.load(open(path, encoding="utf-8"))
         blob["entries"][bad] = "junk-string-entry"
         json.dump(blob, open(path, "w", encoding="utf-8"))
-        fresh = SolutionStore(store.root)
+        fresh = SolutionStore(root)
         assert fresh.get(bad) is None          # corrupted entry: miss
         assert fresh.get(good) == {"v": 1}      # shard-mates survive
         assert fresh.info()["corrupt_shards"] == 1
         assert fresh.put(bad, {"v": 2})         # next write repairs
         assert fresh.get(bad) == {"v": 2}
 
-    def test_mangled_report_payload_recomputes_not_crashes(self, store):
+    def test_mangled_report_payload_recomputes_not_crashes(self, root):
         problem = _problem()
-        report = solve(problem, use_cache=False)
         key = request_key(problem)
-        store.put_report(key, report)
         # sabotage the stored solution payload
-        payload = store.get(key)
+        payload = report_to_payload(solve(problem, use_cache=False), key)
         payload["solution"] = {"allocation": "nonsense"}
-        store.put(key, payload)
-        assert store.get_report(key) is None  # decode failure -> miss
+        write_v1_store(root, [(key, payload)])
+        assert SolutionStore(root).get_report(key) is None  # decode failure -> miss
 
     def test_meta_schema_mismatch_counted(self, tmp_path):
         root = tmp_path / "s"

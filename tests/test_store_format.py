@@ -1,7 +1,8 @@
 """Tests for the packed binary (v2) SolutionStore shard format.
 
 Covers what ``test_store.py`` cannot from the legacy JSON angle: the
-v1 <-> v2 migration (bit-identical round trips), mixed-format stores,
+one-way v1 -> v2 migration (bit-identical round trips), mixed-format
+stores (v1 fixtures come from ``v1_shards.write_v1_store``),
 binary corruption decay (truncate / mangle / version-bump -> recompute,
 never crash), the lazy ``get()`` / alias fast path and the ``scan()``
 bulk iterator, all gated on the store's decode counters.
@@ -11,8 +12,10 @@ from __future__ import annotations
 
 import json
 import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.analysis.sweep import sweep_records
 from repro.core.dag import TradeoffDAG
@@ -25,7 +28,8 @@ from repro.engine import (
     set_solution_store,
     solve,
 )
-from repro.engine.store import atomic_write_json
+from repro.engine.store import atomic_write_json, report_to_payload
+from v1_shards import write_v1_store
 
 
 @pytest.fixture(autouse=True)
@@ -50,8 +54,8 @@ def _key(prefix: str, index: int) -> str:
     return prefix + f"{index:0{64 - len(prefix)}d}"
 
 
-def _shard_path(store: SolutionStore, shard_id: str, ext: str) -> str:
-    return os.path.join(store.root, "shards", f"{shard_id}.{ext}")
+def _shard_path(root: str, shard_id: str, ext: str) -> str:
+    return os.path.join(root, "shards", f"{shard_id}.{ext}")
 
 
 def _snapshot(store: SolutionStore) -> str:
@@ -60,30 +64,33 @@ def _snapshot(store: SolutionStore) -> str:
 
 
 # ---------------------------------------------------------------------------
-# v1 <-> v2 migration
+# v1 -> v2 migration
 # ---------------------------------------------------------------------------
 
 class TestMigration:
-    def _seed_v1(self, tmp_path) -> SolutionStore:
-        store = SolutionStore(str(tmp_path / "s"), shard_format="json")
+    def _seed_v1(self, tmp_path) -> str:
+        root = str(tmp_path / "s")
+        entries = []
         for budget in (1.0, 2.0, 3.0):
             problem = _problem(budget)
-            store.put_report(request_key(problem), solve(problem, use_cache=False))
-        store.put(_key("aa", 7), {"v": 7, "nested": {"xs": [1, 2.5]}})
-        store.put(_key("ab", 8), {"alias_of": _key("aa", 7)})
-        return store
+            key = request_key(problem)
+            entries.append((key, report_to_payload(solve(problem, use_cache=False), key)))
+        entries.append((_key("aa", 7), {"v": 7, "nested": {"xs": [1, 2.5]}}))
+        entries.append((_key("ab", 8), {"alias_of": _key("aa", 7)}))
+        write_v1_store(root, entries)
+        return root
 
     def test_v1_to_v2_round_trips_bit_identically(self, tmp_path):
-        store = self._seed_v1(tmp_path)
-        before = _snapshot(store)
-        keys = [key for key, _ in store.payloads()]
+        root = self._seed_v1(tmp_path)
+        before = _snapshot(SolutionStore(root))
+        keys = [key for key, _ in SolutionStore(root).payloads()]
 
-        stats = SolutionStore(store.root, shard_format="binary").migrate()
+        stats = SolutionStore(root).migrate()
         assert stats["failed"] == 0
         assert stats["entries"] == len(keys) == 5
 
-        migrated = SolutionStore(store.root)
-        shard_files = os.listdir(os.path.join(store.root, "shards"))
+        migrated = SolutionStore(root)
+        shard_files = os.listdir(os.path.join(root, "shards"))
         assert all(name.endswith(".rps") for name in shard_files)
         assert _snapshot(migrated) == before  # payloads byte-for-byte equal
         # reports still decode into full SolveReports
@@ -92,26 +99,15 @@ class TestMigration:
         assert report_keys and all(migrated.get_report(k) is not None
                                    for k in report_keys)
         assert migrated.info()["migrated_shards"] == 0  # counted on the mover
-        meta = json.load(open(os.path.join(store.root, "meta.json")))
-        assert meta["shard_format"] == "binary"
-
-    def test_v2_to_v1_escape_hatch(self, tmp_path):
-        store = SolutionStore(str(tmp_path / "s"))  # binary default
-        store.put(_key("aa", 1), {"v": 1})
-        before = _snapshot(store)
-        handle = SolutionStore(store.root, shard_format="json")
-        assert handle.migrate()["shards"] == 1
-        shard_files = os.listdir(os.path.join(store.root, "shards"))
-        assert shard_files == ["aa.json"]
-        assert _snapshot(SolutionStore(store.root)) == before
+        meta = json.load(open(os.path.join(root, "meta.json")))
+        assert meta["schema"] == 2 and "shard_format" not in meta
 
     def test_migration_preserves_insertion_order(self, tmp_path):
-        store = SolutionStore(str(tmp_path / "s"), shard_format="json")
-        for index, prefix in enumerate(["dd", "cc", "bb", "aa"]):
-            store.put(_key(prefix, index), {"v": index})
-        mover = SolutionStore(store.root, shard_format="binary")
-        mover.migrate()
-        fresh = SolutionStore(store.root)
+        root = str(tmp_path / "s")
+        write_v1_store(root, [(_key(prefix, index), {"v": index}) for index, prefix
+                              in enumerate(["dd", "cc", "bb", "aa"])])
+        SolutionStore(root).migrate()
+        fresh = SolutionStore(root)
         assert fresh.compact(2) == 2  # oldest (dd, cc) evicted, not aa/bb
         kept = sorted(key for key, _payload in fresh.payloads())
         assert kept == [_key("aa", 3), _key("bb", 2)]
@@ -123,12 +119,11 @@ class TestMigration:
 
 class TestMixedFormat:
     def test_shards_in_both_formats_coexist(self, tmp_path):
-        json_handle = SolutionStore(str(tmp_path / "s"), shard_format="json")
-        json_handle.put(_key("aa", 1), {"v": 1})
-        binary_handle = SolutionStore(json_handle.root)  # binary default
-        binary_handle.put(_key("bb", 2), {"v": 2})
+        root = str(tmp_path / "s")
+        write_v1_store(root, [(_key("aa", 1), {"v": 1})])
+        SolutionStore(root).put(_key("bb", 2), {"v": 2})
 
-        fresh = SolutionStore(json_handle.root)
+        fresh = SolutionStore(root)
         assert fresh.get(_key("aa", 1)) == {"v": 1}
         assert fresh.get(_key("bb", 2)) == {"v": 2}
         assert fresh.entry_count() == 2
@@ -136,30 +131,97 @@ class TestMixedFormat:
         assert names == ["aa.json", "bb.rps"]
 
     def test_write_converts_the_touched_shard(self, tmp_path):
-        json_handle = SolutionStore(str(tmp_path / "s"), shard_format="json")
-        json_handle.put(_key("aa", 1), {"v": 1})
-        binary_handle = SolutionStore(json_handle.root)
-        binary_handle.put(_key("aa", 2), {"v": 2})  # same shard, new format
-        names = os.listdir(os.path.join(json_handle.root, "shards"))
+        root = str(tmp_path / "s")
+        write_v1_store(root, [(_key("aa", 1), {"v": 1})])
+        SolutionStore(root).put(_key("aa", 2), {"v": 2})  # same shard
+        names = os.listdir(os.path.join(root, "shards"))
         assert names == ["aa.rps"]  # rewritten + old blob unlinked
-        fresh = SolutionStore(json_handle.root)
+        fresh = SolutionStore(root)
         assert fresh.get(_key("aa", 1)) == {"v": 1}  # shard-mate carried over
         assert fresh.get(_key("aa", 2)) == {"v": 2}
 
     def test_both_files_present_merges_by_seq(self, tmp_path):
-        # Simulates a crash between a format-converting rewrite and the old
+        # Simulates a crash between a converting rewrite and the old
         # file's unlink: both blobs remain; the higher sequence must win.
-        store = SolutionStore(str(tmp_path / "s"), shard_format="json")
-        store.put(_key("aa", 1), {"v": "old"})
-        json_blob = open(_shard_path(store, "aa", "json"), "rb").read()
-        binary_handle = SolutionStore(store.root)
-        binary_handle.put(_key("aa", 1), {"v": "new"})
-        with open(_shard_path(store, "aa", "json"), "wb") as handle:
+        root = str(tmp_path / "s")
+        write_v1_store(root, [(_key("aa", 1), {"v": "old"})])
+        json_blob = open(_shard_path(root, "aa", "json"), "rb").read()
+        SolutionStore(root).put(_key("aa", 1), {"v": "new"})
+        with open(_shard_path(root, "aa", "json"), "wb") as handle:
             handle.write(json_blob)  # resurrect the stale v1 blob
 
-        fresh = SolutionStore(store.root)
+        fresh = SolutionStore(root)
         assert fresh.get(_key("aa", 1)) == {"v": "new"}
         assert fresh.entry_count() == 1
+
+
+# ---------------------------------------------------------------------------
+# one representation: writes carry records, never decode them
+# ---------------------------------------------------------------------------
+
+#: Keys of three one-character shards (the model's store uses shard_width=1).
+MODEL_KEYS = [shard + str(index) for shard in "abc" for index in range(5)]
+
+_model_ops = st.lists(st.one_of(
+    st.tuples(st.just("put"), st.sampled_from(MODEL_KEYS), st.integers(0, 99)),
+    st.tuples(st.just("alias"), st.sampled_from(MODEL_KEYS),
+              st.sampled_from(MODEL_KEYS)),
+    st.tuples(st.just("put_many"), st.lists(st.tuples(
+        st.sampled_from(MODEL_KEYS), st.integers(0, 99)), max_size=6)),
+    st.tuples(st.just("compact"), st.integers(0, 8)),
+), max_size=25)
+
+
+class TestWritesCarryRecords:
+    @settings(max_examples=60, deadline=None)
+    @given(_model_ops)
+    def test_writes_decode_nothing_and_match_a_model(self, operations):
+        model = {}              # key -> (insertion seq, payload)
+        next_seq = [1]
+
+        def insert(key, payload):
+            model[key] = (next_seq[0], payload)
+            next_seq[0] += 1
+
+        def evict_oldest(keys, cap):
+            while len(keys) > cap:
+                oldest = min(keys, key=lambda k: model[k][0])
+                keys.remove(oldest)
+                del model[oldest]
+
+        def evict_shard(shard):
+            evict_oldest([k for k in model if k[0] == shard], 3)
+
+        with tempfile.TemporaryDirectory() as root:
+            store = SolutionStore(root, shard_width=1, max_entries_per_shard=3)
+            for op, *args in operations:
+                if op == "put":
+                    key, value = args
+                    assert store.put(key, {"v": value})
+                    insert(key, {"v": value})
+                    evict_shard(key[0])
+                elif op == "alias":
+                    key, target = args
+                    assert store.put(key, {"alias_of": target})
+                    insert(key, {"alias_of": target})
+                    evict_shard(key[0])
+                elif op == "put_many":
+                    pairs = [(key, {"v": value}) for key, value in args[0]]
+                    assert store.put_many(pairs) == len(pairs)
+                    by_shard = {}           # sequences go shard group by group
+                    for key, payload in pairs:
+                        by_shard.setdefault(key[0], []).append((key, payload))
+                    for shard, group in by_shard.items():
+                        for key, payload in group:
+                            insert(key, payload)
+                        evict_shard(shard)
+                else:
+                    store.compact(args[0])
+                    evict_oldest(list(model), args[0])
+                assert store.payload_decodes == 0
+            expected = {key: payload for key, (_seq, payload) in model.items()}
+            assert dict(store.payloads()) == expected
+            assert dict(SolutionStore(root).payloads()) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +233,7 @@ class TestBinaryCorruption:
         store = SolutionStore(str(tmp_path / "s"))
         key = _key("aa", 1)
         store.put(key, {"v": 1})
-        path = _shard_path(store, "aa", "rps")
+        path = _shard_path(store.root, "aa", "rps")
         blob = open(path, "rb").read()
         with open(path, "wb") as handle:
             handle.write(blob[: len(blob) // 2])
@@ -187,7 +249,7 @@ class TestBinaryCorruption:
         good, bad = _key("aa", 1), _key("aa", 2)
         store.put(good, {"kind": "good"})
         store.put(bad, {"kind": "badx"})
-        path = _shard_path(store, "aa", "rps")
+        path = _shard_path(store.root, "aa", "rps")
         blob = open(path, "rb").read()
         # Corrupt exactly the bad entry's payload blob (same length, so the
         # record table stays valid -- this is per-entry payload damage).
@@ -205,7 +267,7 @@ class TestBinaryCorruption:
         store = SolutionStore(str(tmp_path / "s"))
         key = _key("aa", 1)
         store.put(key, {"v": 1})
-        path = _shard_path(store, "aa", "rps")
+        path = _shard_path(store.root, "aa", "rps")
         blob = open(path, "rb").read()
         with open(path, "wb") as handle:
             handle.write(b"XXXXXXXX" + blob[8:])
@@ -217,7 +279,7 @@ class TestBinaryCorruption:
         store = SolutionStore(str(tmp_path / "s"))
         key = _key("aa", 1)
         store.put(key, {"v": 1})
-        path = _shard_path(store, "aa", "rps")
+        path = _shard_path(store.root, "aa", "rps")
         blob = bytearray(open(path, "rb").read())
         blob[8] = 99  # the little-endian version field follows the magic
         with open(path, "wb") as handle:
@@ -306,32 +368,36 @@ class TestLazyDecode:
 # the raw report read (get_raw_many): bytes that need no re-encode
 # ---------------------------------------------------------------------------
 
-def _seed_reports(store: SolutionStore):
+def _report_entries():
     """Two reports (one LP-solved, whose solution drops metadata) plus an
-    alias; returns ``(report keys, alias key)``."""
-    keys = []
+    alias: ``(entries, report keys, alias key)``."""
+    entries, keys = [], []
     for budget, method in ((2.0, "auto"), (3.0, "bicriteria-lp")):
         problem = _problem(budget)
         key = request_key(problem, method)
-        assert store.put_report(key, solve(problem, method, use_cache=False))
+        entries.append((key, report_to_payload(
+            solve(problem, method, use_cache=False), key)))
         keys.append(key)
     alias = _key("ff", 1)
-    store.put(alias, {"alias_of": keys[1]})
-    return keys, alias
+    entries.append((alias, {"alias_of": keys[1]}))
+    return entries, keys, alias
 
 
 def _layout(tmp_path, layout: str):
     """A store whose report shards are packed, JSON or mixed."""
     root = str(tmp_path / "s")
-    keys, alias = _seed_reports(SolutionStore(
-        root, shard_format="binary" if layout == "packed" else "json"))
+    entries, keys, alias = _report_entries()
+    if layout == "packed":
+        assert SolutionStore(root).put_many(entries) == len(entries)
+    else:
+        write_v1_store(root, entries)
     if layout == "mixed":
         # Both formats on disk for every report shard (a crash between a
-        # format-converting rewrite and the old file's unlink).
+        # converting rewrite and the old file's unlink).
         for key in keys:
-            blob = open(_shard_path(SolutionStore(root), key[:2], "json"), "rb").read()
+            blob = open(_shard_path(root, key[:2], "json"), "rb").read()
             SolutionStore(root).put(key[:2] + "0" * 62, {"v": 0})
-            with open(_shard_path(SolutionStore(root), key[:2], "json"), "wb") as handle:
+            with open(_shard_path(root, key[:2], "json"), "wb") as handle:
                 handle.write(blob)
     return SolutionStore(root), keys, alias
 
@@ -379,7 +445,7 @@ class TestRawRead:
         assert stats == []
         # A miss still checks its shard's on-disk signature, once.
         assert store.get_raw_many([keys[0][:2] + "f" * 62])
-        assert len(stats) == 2                      # .json + .rps stat
+        assert len(stats) == 1                      # the .rps stat
 
     def test_packed_payloads_validated_once_per_open_reader(self, tmp_path):
         store, keys, alias = _layout(tmp_path, "packed")
@@ -389,8 +455,9 @@ class TestRawRead:
         info = store.info()
         assert info["payload_decodes"] == len(keys)
         assert info["alias_fast_hits"] == 1
-        for reader in store._readers.values():
-            assert all(found.entry is None for found in reader.found.values())
+        for reader in store._readers.values():     # checked bytes or a target
+            assert all((found.blob is None) != (found.alias_of is None)
+                       for found in reader.found.values())
 
     def test_invalid_report_is_a_raw_miss_but_still_a_payload(self, tmp_path):
         store, keys, _alias = _layout(tmp_path, "packed")
@@ -416,13 +483,6 @@ class TestDurability:
         assert SolutionStore(store.root).get(key) == {"v": 1}
         assert store.info()["durable"] is True
 
-    def test_durable_json_store_round_trips(self, tmp_path):
-        store = SolutionStore(str(tmp_path / "s"), shard_format="json",
-                              durable=True)
-        key = _key("aa", 1)
-        assert store.put(key, {"v": 1})
-        assert SolutionStore(store.root).get(key) == {"v": 1}
-
     def test_atomic_write_json_fsync(self, tmp_path):
         path = str(tmp_path / "out.json")
         atomic_write_json(path, {"a": 1}, fsync=True)
@@ -440,4 +500,5 @@ class TestDurability:
         from_store = solve(problem)
         assert from_store.from_cache and from_store.cache_tier == "store"
         assert from_store.makespan == pytest.approx(fresh.makespan)
-        assert store.info()["shard_format"] == "binary"
+        assert all(name.endswith(".rps")
+                   for name in os.listdir(os.path.join(store.root, "shards")))

@@ -252,27 +252,14 @@ class TestSplicedAnswers:
 def _repack(path: str, key: str, mutate) -> None:
     """Rewrite one packed shard with ``mutate(blob)`` as ``key``'s payload."""
     reader = _PackedShardReader(path)
-    entries = []
+    records = {}
     for index in range(reader.count):
-        record_key, seq, offset, length, flags = reader.record(index)
-        blob = reader.blob(offset, length)
-        entries.append((record_key.encode(), seq,
-                        mutate(blob) if record_key == key else blob, flags))
-    width = reader.key_width
-    record_size = width + store_module._RECORD_FIXED.size
-    parts = [store_module._HEADER.pack(
-        store_module._SHARD_MAGIC, store_module.STORE_SCHEMA_VERSION, 0,
-        len(entries), width,
-        store_module._HEADER.size + record_size * len(entries))]
-    blobs, offset = [], 0
-    for key_bytes, seq, blob, flags in entries:
-        parts.append(key_bytes.ljust(width, b"\x00"))
-        parts.append(store_module._RECORD_FIXED.pack(seq, offset, len(blob), flags))
-        blobs.append(blob)
-        offset += len(blob)
+        record_key, seq, blob, flags = reader.record(index)
+        records[record_key] = (seq, mutate(blob) if record_key == key else blob,
+                               flags)
     reader.buf.close()
     with open(path, "wb") as handle:
-        handle.write(b"".join(parts + blobs))
+        handle.write(store_module._pack_records(records))
 
 
 def _wrong_shape(root, key):
@@ -400,9 +387,9 @@ class TestSpecTokens:
 
 class TestSelfWrittenShards:
     def test_each_entry_is_validated_once_per_handle(self, tmp_path, monkeypatch):
-        """A handle holds the shards it wrote decoded in memory; each
-        entry's report bytes are checked on their first read and reused
-        after, as a packed reader's are: three warm passes over an 8-cell
+        """A handle keeps a reader over the bytes it wrote; each entry's
+        report bytes are checked on their first read and reused after, as
+        a reader opened from disk does: three warm passes over an 8-cell
         grid the service computed decode 8 solutions, not 24 -- the same
         as a fresh service over the same store."""
         root = str(tmp_path / "store")
@@ -437,7 +424,7 @@ class TestSelfWrittenShards:
         assert len(calls) == 8
 
     def test_a_rewritten_entry_is_validated_again(self, tmp_path):
-        store = SolutionStore(str(tmp_path / "store"), shard_format="json")
+        store = SolutionStore(str(tmp_path / "store"))
         report = _stored_report()
         key = "ab" + "0" * 62
         store.put(key, store_module.report_to_payload(report, key))
