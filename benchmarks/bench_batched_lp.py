@@ -18,9 +18,11 @@ The gate is **machine-independent**: the kernel work counters
 (:func:`~repro.core.lp.lp_kernel_counters`,
 :func:`repro.engine.batch.batch_kernel_info`) must show exactly one
 skeleton build and one structure probe for the batched sweep, an N-build
-rebuild sweep, a >= 3x build-elimination ratio, and bit-identical
-makespans between the two paths.  Wall-clock speedup is reported for
-humans but never gated on.
+rebuild sweep, a >= 3x build-elimination ratio, bit-identical makespans
+between the two paths, and no LP solve falling back to ``linprog`` (a
+SciPy whose private HiGHS wrapper moved fails here instead of silently
+losing the direct call).  Wall-clock speedup is reported for humans but
+never gated on.
 
 Run standalone:  python benchmarks/bench_batched_lp.py [--quick] [--json PATH]
 """
@@ -112,6 +114,8 @@ def run_comparison(factors):
         "identity_hits": structure["identity_hits"],
         "work_elimination": (rebuild_counters["skeleton_builds"]
                              / max(lp["skeleton_builds"], 1)),
+        "linprog_fallbacks": (rebuild_counters["linprog_fallbacks"]
+                              + lp["linprog_fallbacks"]),
         "identical": identical,
         "t_rebuild_s": t_rebuild,
         "t_batched_s": t_batched,
@@ -135,6 +139,8 @@ GATE_CONDITIONS = [
      lambda s: s["batched_probe_runs"] == 1),
     ("model-build elimination is at least 3x",
      lambda s: s["work_elimination"] >= 3.0),
+    ("every LP solve calls HiGHS directly, none falls back to linprog",
+     lambda s: s["linprog_fallbacks"] == 0),
 ]
 
 
@@ -201,7 +207,7 @@ def main(argv) -> int:
     ok = gate(stats)
     print(f"\nshard-batched skeletons beat per-scenario rebuild on "
           f"work counters (>=3x build elimination, 1 probe, identical "
-          f"results): {ok}")
+          f"results, {stats['linprog_fallbacks']} linprog fallbacks): {ok}")
 
     if json_path:
         write_json_artifact(json_path, {
@@ -215,6 +221,7 @@ def main(argv) -> int:
             "batched_skeleton_cache_hits": stats["batched_skeleton_cache_hits"],
             "batched_probe_runs": stats["batched_probe_runs"],
             "work_elimination": stats["work_elimination"],
+            "linprog_fallbacks": stats["linprog_fallbacks"],
             "identical": stats["identical"],
             "t_rebuild_s": stats["t_rebuild_s"],
             "t_batched_s": stats["t_batched_s"],

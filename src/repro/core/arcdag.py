@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Mapping, Optional, Tuple
 
 from repro.core.dag import TradeoffDAG
-from repro.core.duration import ConstantDuration, DurationFunction, GeneralStepDuration
+from repro.core.duration import ZERO_DURATION, DurationFunction, GeneralStepDuration
 from repro.utils.ordering import topological_order
 from repro.utils.validation import require
 
@@ -54,7 +54,7 @@ class Arc:
     tail, head:
         The event vertices the arc connects (``tail -> head``).
     duration:
-        The arc's duration function; dummy arcs use ``ConstantDuration(0)``.
+        The arc's duration function; dummy arcs share ``ZERO_DURATION``.
     is_dummy:
         ``True`` for pure-precedence arcs introduced by the transformations.
     label:
@@ -95,6 +95,8 @@ class ArcDAG:
         self._out: Dict[Vertex, List[str]] = {source: [], sink: []}
         self._in: Dict[Vertex, List[str]] = {source: [], sink: []}
         self._counter = itertools.count()
+        self._mutations = 0
+        self._validated_at = -1
 
     # ------------------------------------------------------------------
     # construction
@@ -105,6 +107,7 @@ class ArcDAG:
             self._vertices[v] = None
             self._out[v] = []
             self._in[v] = []
+            self._mutations += 1
         return v
 
     def add_arc(
@@ -119,14 +122,14 @@ class ArcDAG:
     ) -> Arc:
         """Add an arc ``tail -> head`` carrying ``duration``.
 
-        ``duration`` defaults to ``ConstantDuration(0)``; pass
+        ``duration`` defaults to the shared ``ZERO_DURATION``; pass
         ``is_dummy=True`` for arcs that exist purely to encode precedence.
         """
         require(tail != head, "self-loop arcs are not allowed")
         self.add_vertex(tail)
         self.add_vertex(head)
         if duration is None:
-            duration = ConstantDuration(0.0)
+            duration = ZERO_DURATION
         if arc_id is None:
             arc_id = f"a{next(self._counter)}"
         require(arc_id not in self._arcs, f"duplicate arc id {arc_id!r}")
@@ -134,11 +137,18 @@ class ArcDAG:
         self._arcs[arc_id] = arc
         self._out[tail].append(arc_id)
         self._in[head].append(arc_id)
+        self._mutations += 1
         return arc
 
     # ------------------------------------------------------------------
     # inspection
     # ------------------------------------------------------------------
+    @property
+    def mutations(self) -> int:
+        """How many changes :meth:`add_vertex` and :meth:`add_arc` have made;
+        caches keyed on this object compare it."""
+        return self._mutations
+
     @property
     def vertices(self) -> List[Vertex]:
         return list(self._vertices)
@@ -181,7 +191,13 @@ class ArcDAG:
         return topological_order(self.vertices, self.vertex_edges())
 
     def validate(self) -> None:
-        """Check acyclicity, terminal degrees and duration-function validity."""
+        """Check acyclicity, terminal degrees and duration-function validity.
+
+        Returns at once when the DAG has not changed since its checks last
+        passed.
+        """
+        if self._validated_at == self._mutations:
+            return
         self.topological_vertices()
         require(not self._in[self.source], "source vertex must have no incoming arcs")
         require(not self._out[self.sink], "sink vertex must have no outgoing arcs")
@@ -192,6 +208,7 @@ class ArcDAG:
                 continue
             require(self._in[v], f"internal vertex {v!r} has no incoming arc")
             require(self._out[v], f"internal vertex {v!r} has no outgoing arc")
+        self._validated_at = self._mutations
 
     def total_finite_base_time(self) -> float:
         """Sum of the finite ``t(0)`` values over all arcs.
@@ -256,7 +273,7 @@ def node_to_arc_dag(dag: TradeoffDAG) -> Tuple[ArcDAG, NodeToArcMapping]:
         mapping.job_arc[job] = arc.arc_id
     for u, v in dag.edges:
         arc = arc_dag.add_arc(
-            ("out", u), ("in", v), ConstantDuration(0.0), is_dummy=True,
+            ("out", u), ("in", v), ZERO_DURATION, is_dummy=True,
             label=(u, v), arc_id=f"prec::{u!r}->{v!r}",
         )
         mapping.dummy_arcs.append(arc.arc_id)
@@ -397,7 +414,7 @@ def expand_to_two_tuples(arc_dag: ArcDAG) -> TwoTupleExpansion:
                 label=(arc.label, "chain", i), arc_id=f"{arc.arc_id}::chain{i}",
             )
             dummy = out.add_arc(
-                mid, arc.head, ConstantDuration(0.0), is_dummy=True,
+                mid, arc.head, ZERO_DURATION, is_dummy=True,
                 label=(arc.label, "chain-out", i), arc_id=f"{arc.arc_id}::chainout{i}",
             )
             pieces.append(ChainPiece(job_arc.arc_id, dummy.arc_id, t_i, gap, i))

@@ -74,6 +74,8 @@ class TradeoffDAG:
         self._durations: Dict[Node, DurationFunction] = {}
         self._succ: Dict[Node, List[Node]] = {}
         self._pred: Dict[Node, List[Node]] = {}
+        self._mutations = 0
+        self._validated_at = -1
 
     # ------------------------------------------------------------------
     # construction
@@ -92,6 +94,7 @@ class TradeoffDAG:
         self._durations[name] = duration
         self._succ.setdefault(name, [])
         self._pred.setdefault(name, [])
+        self._mutations += 1
         return name
 
     def add_edge(self, u: Node, v: Node) -> None:
@@ -102,16 +105,24 @@ class TradeoffDAG:
         if v not in self._succ[u]:
             self._succ[u].append(v)
             self._pred[v].append(u)
+            self._mutations += 1
 
     def remove_edge(self, u: Node, v: Node) -> None:
         """Remove the precedence constraint ``u -> v`` if present."""
         if u in self._succ and v in self._succ[u]:
             self._succ[u].remove(v)
             self._pred[v].remove(u)
+            self._mutations += 1
 
     # ------------------------------------------------------------------
     # inspection
     # ------------------------------------------------------------------
+    @property
+    def mutations(self) -> int:
+        """How many changes :meth:`add_job`, :meth:`add_edge` and
+        :meth:`remove_edge` have made; caches keyed on this object compare it."""
+        return self._mutations
+
     @property
     def jobs(self) -> List[Node]:
         """All job names, in insertion order."""
@@ -172,7 +183,13 @@ class TradeoffDAG:
         return topological_order(self.jobs, self.edges)
 
     def validate(self) -> None:
-        """Check acyclicity, duration-function validity and terminal uniqueness."""
+        """Check acyclicity, duration-function validity and terminal uniqueness.
+
+        Returns at once when the DAG has not changed since its checks last
+        passed (duration functions are immutable, see :meth:`copy`).
+        """
+        if self._validated_at == self._mutations:
+            return
         self.topological_order()
         for job, fn in self._durations.items():
             try:
@@ -181,6 +198,7 @@ class TradeoffDAG:
                 raise ValidationError(f"job {job!r}: {exc}") from exc
         require(len(self.sources()) >= 1, "DAG has no source")
         require(len(self.sinks()) >= 1, "DAG has no sink")
+        self._validated_at = self._mutations
 
     def ensure_single_source_sink(self) -> "TradeoffDAG":
         """Return a DAG with unique source/sink, adding virtual terminals if needed.

@@ -42,6 +42,7 @@ __all__ = [
     "DurationFunction",
     "GeneralStepDuration",
     "ConstantDuration",
+    "ZERO_DURATION",
     "KWaySplitDuration",
     "RecursiveBinarySplitDuration",
     "LOG2_LOG2_E",
@@ -150,7 +151,43 @@ def _envelope(pairs: Sequence[ResourceTimeTuple]) -> List[ResourceTimeTuple]:
     return out
 
 
-class GeneralStepDuration(DurationFunction):
+class _StepDuration(DurationFunction):
+    """The library's duration classes: a canonical breakpoint list fixed at build.
+
+    ``_tuples`` never changes once an object is built, so :meth:`validate`
+    runs its checks once per object and then remembers that they passed.
+    Subclasses defined elsewhere are checked on every call, since they may
+    not keep that promise.
+    """
+
+    _tuples: List[ResourceTimeTuple]
+    _validated = False
+
+    def duration(self, resource: float) -> float:
+        check_non_negative(resource, "resource")
+        result = self._tuples[0][1]
+        for r, t in self._tuples:
+            if resource >= r:
+                result = t
+            else:
+                break
+        return result
+
+    def tuples(self) -> List[ResourceTimeTuple]:
+        return list(self._tuples)
+
+    @property
+    def base_duration(self) -> float:
+        """``t(0)``: the first breakpoint's time, read without a search."""
+        return self._tuples[0][1]
+
+    def validate(self) -> None:
+        if not self._validated:
+            super().validate()
+            self._validated = type(self) in _LIBRARY_CLASSES
+
+
+class GeneralStepDuration(_StepDuration):
     """General non-increasing step function of Equation 1.
 
     Parameters
@@ -179,19 +216,6 @@ class GeneralStepDuration(DurationFunction):
         require(self._tuples[0][0] == 0, "a tuple with resource 0 is required")
         self.validate()
 
-    def duration(self, resource: float) -> float:
-        check_non_negative(resource, "resource")
-        result = self._tuples[0][1]
-        for r, t in self._tuples:
-            if resource >= r:
-                result = t
-            else:
-                break
-        return result
-
-    def tuples(self) -> List[ResourceTimeTuple]:
-        return list(self._tuples)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, GeneralStepDuration) and self._tuples == other._tuples
 
@@ -203,7 +227,7 @@ class ConstantDuration(GeneralStepDuration):
     """A duration that cannot be improved by resources (single tuple).
 
     Dummy arcs introduced by the activity-on-arc transformation (Section 2)
-    use ``ConstantDuration(0)``.
+    all share the one zero duration :data:`ZERO_DURATION`.
     """
 
     def __init__(self, value: float = 0.0):
@@ -211,7 +235,7 @@ class ConstantDuration(GeneralStepDuration):
         self.value = value
 
 
-class KWaySplitDuration(DurationFunction):
+class KWaySplitDuration(_StepDuration):
     """k-way splitting duration function (Equation 2).
 
     A k-way split reducer distributes the ``d = t(0)`` incoming updates of a
@@ -259,19 +283,6 @@ class KWaySplitDuration(DurationFunction):
             return float(math.ceil(d / k) + k)
         return float(math.ceil(d / kmax) + kmax)
 
-    def duration(self, resource: float) -> float:
-        check_non_negative(resource, "resource")
-        result = self._tuples[0][1]
-        for r, t in self._tuples:
-            if resource >= r:
-                result = t
-            else:
-                break
-        return result
-
-    def tuples(self) -> List[ResourceTimeTuple]:
-        return list(self._tuples)
-
 
 def recursive_binary_height_bound(base_work: float) -> int:
     """Largest useful height exponent ``k = floor(log2 d - log2 log2 e)``.
@@ -286,7 +297,7 @@ def recursive_binary_height_bound(base_work: float) -> int:
     return max(k, 0)
 
 
-class RecursiveBinarySplitDuration(DurationFunction):
+class RecursiveBinarySplitDuration(_StepDuration):
     """Recursive binary splitting duration function (Equation 3).
 
     A recursive binary reducer of height ``i`` (``2^i`` units of extra
@@ -329,15 +340,11 @@ class RecursiveBinarySplitDuration(DurationFunction):
             return float(d)
         return float(math.ceil(d / 2 ** h) + h + 1)
 
-    def duration(self, resource: float) -> float:
-        check_non_negative(resource, "resource")
-        result = self._tuples[0][1]
-        for r, t in self._tuples:
-            if resource >= r:
-                result = t
-            else:
-                break
-        return result
 
-    def tuples(self) -> List[ResourceTimeTuple]:
-        return list(self._tuples)
+#: The classes whose objects :meth:`_StepDuration.validate` checks only once.
+_LIBRARY_CLASSES = frozenset({GeneralStepDuration, ConstantDuration,
+                              KWaySplitDuration, RecursiveBinarySplitDuration})
+
+#: The zero duration every dummy (pure-precedence) arc shares; like every
+#: library duration it never changes once built, so one object serves all.
+ZERO_DURATION = ConstantDuration(0.0)

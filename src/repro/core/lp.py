@@ -17,25 +17,30 @@ Two objectives are supported, matching the two problems of Section 2:
 * **min-makespan** -- minimise ``T_t`` subject to the budget (LP 6-10);
 * **min-resource** -- minimise the source outflow subject to ``T_t <= T``.
 
-The solver is ``scipy.optimize.linprog`` (HiGHS).  Infinite base durations
-(used by the hardness gadgets) are replaced by a "big M" exceeding the sum
-of all finite durations, which preserves optima for every instance in which
-a finite-makespan solution exists.
+The solver is HiGHS, called through SciPy's HiGHS wrapper with exactly the
+arrays and options ``scipy.optimize.linprog(method="highs")`` would hand it,
+so every answer is bit-for-bit the one ``linprog`` returns.  The wrapper is
+private SciPy API: its import and signature are probed once per process,
+on the first solve, and a process whose probe fails solves through
+``linprog`` itself (counted as ``linprog_fallbacks``).  Infinite base
+durations (used by the hardness gadgets) are replaced by a "big M"
+exceeding the sum of all finite durations, which preserves optima for every
+instance in which a finite-makespan solution exists.
 
 **Batched solves.**  Everything about the LP except the budget / makespan
 target is a function of the arc DAG alone: the relaxed arcs, the
-variable-index maps, the sparse constraint matrices, the bounds and both
-cost vectors.  :class:`LPModelSkeleton` precomputes all of it once; each
-:meth:`~LPModelSkeleton.solve_min_makespan` /
-:meth:`~LPModelSkeleton.solve_min_resource` call then only swaps the RHS of
-the budget row (or the sink's upper bound) before handing the model to
-HiGHS.  The one-shot :func:`solve_min_makespan_lp` /
-:func:`solve_min_resource_lp` entry points build a fresh skeleton per call
-(identical behaviour to the historical scalar path); sweeps over the same
-DAG should reuse one skeleton -- the engine's batching layer
-(:mod:`repro.engine.batch`) caches skeletons per arc-DAG fingerprint.
-:func:`lp_kernel_counters` exposes machine-independent work counters
-(skeleton builds vs. solves) so benchmarks can assert the elimination.
+variable-index maps, the column-wise constraint matrix, the row and column
+bounds and both cost vectors.  :class:`LPModelSkeleton` precomputes all of
+it once; each :meth:`~LPModelSkeleton.solve_min_makespan` /
+:meth:`~LPModelSkeleton.solve_min_resource` call then only patches the RHS
+of the budget row (or the sink's upper bound) on a copy before handing the
+model to HiGHS.  The one-shot :func:`solve_min_makespan_lp` /
+:func:`solve_min_resource_lp` entry points build a fresh skeleton per call;
+sweeps over the same DAG should reuse one skeleton -- the engine's
+batching layer (:mod:`repro.engine.batch`) caches skeletons per arc-DAG
+fingerprint.  :func:`lp_kernel_counters` exposes machine-independent work
+counters (skeleton builds vs. solves) so benchmarks can assert the
+elimination.
 
 **Warm-started sweeps.**  Beyond skipping the model construction, an ordered
 parameter sweep over one skeleton can reuse *solver* state between solves:
@@ -51,10 +56,9 @@ across solves.  Two backends implement it:
   row's RHS (or the sink bound) and re-runs, so HiGHS warm-starts from the
   previous optimal basis.  Results are validated by the engine's
   certificate checks, not pinned bit-for-bit against scipy.
-* ``scipy`` (always available, the default fallback) -- each distinct RHS
-  is handed to ``scipy.optimize.linprog`` exactly as the scalar path would
-  (results stay bit-for-bit identical to
-  :meth:`~LPModelSkeleton.solve_min_makespan` /
+* ``scipy`` (always available, the default) -- each distinct RHS is a
+  fresh HiGHS call exactly as the scalar path makes it (results stay
+  bit-for-bit identical to :meth:`~LPModelSkeleton.solve_min_makespan` /
   :meth:`~LPModelSkeleton.solve_min_resource`); the warm state still
   answers *repeated* RHS values from its memo without a solver call.
 
@@ -70,14 +74,15 @@ metric ``benchmarks/bench_warm_lp.py`` gates on.
 
 from __future__ import annotations
 
+import inspect
 import math
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Hashable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.optimize import linprog
-from scipy.sparse import csr_matrix
+from scipy.sparse import csc_matrix
 
 from repro.core.arcdag import Arc, ArcDAG
 from repro.utils.validation import check_non_negative, require
@@ -89,14 +94,17 @@ __all__ = ["LPSolution", "RelaxedArc", "LPModelSkeleton", "build_relaxed_arcs",
 
 
 #: Machine-independent work counters for the LP kernel: ``skeleton_builds``
-#: counts full model constructions (relaxed arcs + index maps + CSR matrices
-#: + bounds + cost vectors), ``skeleton_solves`` counts scipy/HiGHS
-#: invocations.  A budget sweep that reuses one skeleton performs 1 build
-#: and N solves; the per-scenario rebuild path performs N of each.  The
-#: warm-state counters are documented in the module docstring.
+#: counts full model constructions (relaxed arcs + index maps + HiGHS
+#: arrays), ``skeleton_solves`` counts HiGHS invocations and
+#: ``linprog_fallbacks`` the subset that went through ``linprog`` because
+#: SciPy's private HiGHS wrapper failed its probe.  A budget sweep that
+#: reuses one skeleton performs 1 build and N solves; the per-scenario
+#: rebuild path performs N of each.  The warm-state counters are documented
+#: in the module docstring.
 _KERNEL_COUNTERS: Dict[str, int] = {
     "skeleton_builds": 0,
     "skeleton_solves": 0,
+    "linprog_fallbacks": 0,
     "simplex_iterations": 0,
     "sweep_solves": 0,
     "warm_start_hits": 0,
@@ -141,6 +149,94 @@ def reset_lp_kernel_counters() -> None:
     """Zero the LP kernel work counters (used by benchmarks and tests)."""
     for key in _KERNEL_COUNTERS:
         _KERNEL_COUNTERS[key] = 0
+
+
+# ----------------------------------------------------------------------
+# SciPy's HiGHS wrapper, called the way linprog(method="highs") calls it
+# ----------------------------------------------------------------------
+#: The wrapper's parameters and ``_linprog_highs``'s defaults this module
+#: reproduces; a SciPy whose private API differs fails the probe.
+_WRAPPER_PARAMS = ("c", "indptr", "indices", "data", "lhs", "rhs", "lb", "ub",
+                   "integrality", "options")
+_LINPROG_HIGHS_DEFAULTS = {
+    "time_limit": None, "presolve": True, "disp": False, "maxiter": None,
+    "dual_feasibility_tolerance": None, "primal_feasibility_tolerance": None,
+    "ipm_optimality_tolerance": None, "simplex_dual_edge_weight_strategy": None,
+    "mip_rel_gap": None, "mip_max_nodes": None,
+}
+_CHECK_RESULT_PARAMS = ("x", "fun", "status", "slack", "con", "bounds", "tol",
+                        "message", "integrality")
+#: ``linprog``'s default ``tol``, which it hands ``_check_result``.
+_LINPROG_TOL = 1e-9
+_NO_INTEGRALITY = np.empty(0, dtype=np.uint8)
+
+
+class _DirectHighs(NamedTuple):
+    """What a direct call needs from SciPy's private ``_linprog_highs``."""
+
+    wrapper: Any
+    to_scipy_status: Any
+    check_result: Any
+    options: Dict[str, Any]
+
+
+#: ``None`` = not probed yet, ``False`` = probed and unusable.
+_DIRECT: Any = None
+
+
+def _probe_direct_highs() -> _DirectHighs:
+    """Import SciPy's HiGHS wrapper and check it is the API this module mirrors.
+
+    Raises when a name is missing, a signature or default differs, or
+    SciPy's ``kHighsInf`` is not ``inf`` (the skeleton writes ``inf`` where
+    ``linprog`` writes ``kHighsInf``).
+    """
+    from scipy.optimize import _linprog_highs as highs
+    from scipy.optimize._linprog_util import _check_result
+
+    def params(fn: Any) -> Tuple[str, ...]:
+        return tuple(inspect.signature(fn).parameters)
+
+    defaults = {name: p.default
+                for name, p in inspect.signature(highs._linprog_highs).parameters.items()
+                if p.default is not inspect.Parameter.empty}
+    if (params(highs._highs_wrapper) != _WRAPPER_PARAMS
+            or defaults != _LINPROG_HIGHS_DEFAULTS
+            or params(_check_result) != _CHECK_RESULT_PARAMS
+            or highs.kHighsInf != math.inf):
+        raise ImportError("SciPy's private HiGHS API differs from the one mirrored")
+    # The option dict _linprog_highs builds from its defaults.
+    options = {
+        "presolve": True,
+        "sense": highs.ObjSense.kMinimize,
+        "solver": None,
+        "time_limit": None,
+        "highs_debug_level": highs.HighsDebugLevel.kHighsDebugLevelNone,
+        "dual_feasibility_tolerance": None,
+        "ipm_optimality_tolerance": None,
+        "log_to_console": False,
+        "mip_max_nodes": None,
+        "output_flag": False,
+        "primal_feasibility_tolerance": None,
+        "simplex_dual_edge_weight_strategy": None,
+        "simplex_strategy": highs.s_c.SimplexStrategy.kSimplexStrategyDual,
+        "ipm_iteration_limit": None,
+        "simplex_iteration_limit": None,
+        "mip_rel_gap": None,
+    }
+    return _DirectHighs(highs._highs_wrapper, highs._highs_to_scipy_status_message,
+                        _check_result, options)
+
+
+def _direct_highs() -> Optional[_DirectHighs]:
+    """The probed direct call, or ``None`` when this process uses ``linprog``."""
+    global _DIRECT
+    if _DIRECT is None:
+        try:
+            _DIRECT = _probe_direct_highs()
+        except (ImportError, AttributeError, TypeError, ValueError):
+            _DIRECT = False  # counted per solve as linprog_fallbacks
+    return _DIRECT or None
 
 
 @dataclass(frozen=True)
@@ -276,26 +372,44 @@ class _WarmState:
         self.memo[key] = _copy_solution(solution)
 
 
-RowSpec = Tuple[Dict[int, float], float]
+class _HighsModel(NamedTuple):
+    """One objective's LP as ``linprog`` hands it to HiGHS.
+
+    ``[A_ub; A_eq]`` column-wise (``indptr``/``indices``/``data``, rows
+    ascending within a column) with its row bounds ``row_lower <= A x <=
+    row_upper``; the first ``n_ub`` rows are the inequalities.
+    """
+
+    cost: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    row_lower: np.ndarray
+    row_upper: np.ndarray
+    n_ub: int
 
 
-def _to_sparse(rows: List[RowSpec], n_vars: int) -> Tuple[Optional[csr_matrix],
-                                                          Optional[np.ndarray]]:
-    """CSR matrix + RHS vector from ``(coefficient dict, rhs)`` rows."""
-    if not rows:
-        return None, None
-    data: List[float] = []
-    indices: List[int] = []
-    indptr: List[int] = [0]
-    rhs: List[float] = []
-    for row, b in rows:
-        for idx, coeff in row.items():
-            data.append(coeff)
-            indices.append(idx)
-        indptr.append(len(data))
-        rhs.append(b)
-    mat = csr_matrix((data, indices, indptr), shape=(len(rows), n_vars))
-    return mat, np.array(rhs)
+_Triplets = Tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _highs_model(cost: np.ndarray, ub_blocks: List[_Triplets], eq: _Triplets,
+                 ub_rhs: List[float], n_eq: int) -> _HighsModel:
+    """The model whose inequalities are the ``(rows, cols, values)`` triplet
+    blocks ``ub_blocks`` (RHS ``ub_rhs``), followed by the ``n_eq``
+    conservation rows ``eq`` (numbered from 0)."""
+    n_ub = len(ub_rhs)
+    rows = np.concatenate([b[0] for b in ub_blocks] + [eq[0] + n_ub])
+    cols = np.concatenate([b[1] for b in ub_blocks] + [eq[1]])
+    values = np.concatenate([b[2] for b in ub_blocks] + [eq[2]])
+    # Column-major, rows ascending within a column, int32 indices: the CSC
+    # form linprog's csc_array conversion produces.
+    order = np.lexsort((rows, cols))
+    indptr = np.zeros(len(cost) + 1, dtype=np.int32)
+    np.cumsum(np.bincount(cols, minlength=len(cost)), out=indptr[1:])
+    row_lower = np.concatenate((np.full(n_ub, -math.inf), np.zeros(n_eq)))
+    row_upper = np.concatenate((np.array(ub_rhs, dtype=float), np.zeros(n_eq)))
+    return _HighsModel(cost, indptr, rows[order].astype(np.int32), values[order],
+                       row_lower, row_upper, n_ub)
 
 
 class LPModelSkeleton:
@@ -306,16 +420,17 @@ class LPModelSkeleton:
     * the relaxed arcs (:func:`build_relaxed_arcs`),
     * the variable-index maps (one flow variable per arc, one event-time
       variable per vertex),
-    * the precedence-constraint CSR block and its RHS (constraint 7),
-    * the flow-conservation CSR block (constraint 8),
-    * the variable bounds template and both objective cost vectors.
+    * per objective, the column-wise ``[A_ub; A_eq]`` matrix -- precedence
+      rows (constraint 7), for min-makespan the budget row (constraint 9)
+      last among them, then the flow-conservation rows (constraint 8) --
+      with its row bounds and cost vector,
+    * the column bounds (per-arc flow caps, source pinned at time 0).
 
-    Per-scenario work is then limited to swapping the budget row's RHS
-    (min-makespan) or the sink's upper bound (min-resource) and calling
-    HiGHS -- the matrices handed to scipy are identical, entry for entry,
-    to what the historical per-call construction produced, so a skeleton
-    solve is bit-for-bit equivalent to :func:`solve_min_makespan_lp` /
-    :func:`solve_min_resource_lp` on a fresh model.
+    Per-scenario work is then limited to patching the budget row's RHS
+    (min-makespan) or the sink's upper bound (min-resource) on a copy and
+    calling HiGHS.  The arrays are exactly, dtypes included, what
+    ``linprog(method="highs")`` hands SciPy's HiGHS wrapper for this LP, so
+    a skeleton solve is bit-for-bit a ``linprog`` solve.
 
     Skeletons assume the arc DAG is not mutated afterwards (arc DAGs
     produced by the Section 2 / 3.1 transformations never are); the
@@ -328,77 +443,72 @@ class LPModelSkeleton:
         self.relaxed: Dict[str, RelaxedArc] = build_relaxed_arcs(arc_dag, big_m)
         arcs = arc_dag.arcs
         vertices = arc_dag.vertices
+        m = len(arcs)
         self.arc_index: Dict[str, int] = {a.arc_id: i for i, a in enumerate(arcs)}
-        self.vertex_index: Dict[Hashable, int] = {v: len(arcs) + j
+        self.vertex_index: Dict[Hashable, int] = {v: m + j
                                                   for j, v in enumerate(vertices)}
-        self.n_vars: int = len(arcs) + len(vertices)
-        self._arcs = arcs
+        self.n_vars: int = m + len(vertices)
+        self._arc_ids: List[str] = [a.arc_id for a in arcs]
         self._vertices = vertices
+        source, sink = arc_dag.source, arc_dag.sink
+        self.source_arc_indices: List[int] = [
+            self.arc_index[a.arc_id] for a in arc_dag.out_arcs(source)]
+        self._sink_var: int = self.vertex_index[sink]
 
-        # Precedence constraints (constraint 7): the relaxed duration of arc
-        # e is t0 - slope * f_e, so  T_tail + t0 - slope * f_e <= T_head, i.e.
-        #   T_tail - T_head - slope * f_e <= -t0 .
-        rows_ub: List[RowSpec] = []
-        for arc in arcs:
+        # Precedence (constraint 7): the relaxed duration of arc e is
+        # t0 - slope * f_e, so  T_tail - T_head - slope * f_e <= -t0 .
+        # Column bounds: per-arc flow caps, the source pinned at time 0.
+        prec_rhs: List[float] = []
+        sloped: List[int] = []
+        neg_slopes: List[float] = []
+        upper: List[float] = []
+        for i, arc in enumerate(arcs):
             rel = self.relaxed[arc.arc_id]
-            row: Dict[int, float] = {
-                self.vertex_index[arc.tail]: 1.0,
-                self.vertex_index[arc.head]: -1.0,
-            }
             t0 = rel.base_time
+            prec_rhs.append(-t0)
+            upper.append(rel.full_resource if rel.capped else math.inf)
             if rel.capped and rel.full_resource > 0:
                 t_full = arc.duration.tuples()[1][1]
-                slope = (t0 - t_full) / rel.full_resource
-                row[self.arc_index[arc.arc_id]] = -slope
-            rows_ub.append((row, -t0))
+                sloped.append(i)
+                neg_slopes.append(-((t0 - t_full) / rel.full_resource))
+        upper.extend(0.0 if v == source else math.inf for v in vertices)
+        self._col_lower: np.ndarray = np.zeros(self.n_vars)
+        self._col_upper: np.ndarray = np.array(upper, dtype=float)
 
-        # Flow conservation at internal vertices (constraint 8).
-        rows_eq: List[RowSpec] = []
-        for v in vertices:
-            if v in (arc_dag.source, arc_dag.sink):
-                continue
-            crow: Dict[int, float] = {}
-            for a in arc_dag.out_arcs(v):
-                crow[self.arc_index[a.arc_id]] = crow.get(self.arc_index[a.arc_id], 0.0) + 1.0
-            for a in arc_dag.in_arcs(v):
-                crow[self.arc_index[a.arc_id]] = crow.get(self.arc_index[a.arc_id], 0.0) - 1.0
-            rows_eq.append((crow, 0.0))
+        vertex_col = self.vertex_index
+        arc_rows = np.arange(m)
+        tails = np.array([vertex_col[a.tail] for a in arcs], dtype=np.intp)
+        heads = np.array([vertex_col[a.head] for a in arcs], dtype=np.intp)
+        prec = (np.concatenate((arc_rows, arc_rows, sloped)).astype(np.intp),
+                np.concatenate((tails, heads, sloped)).astype(np.intp),
+                np.concatenate((np.ones(m), np.full(m, -1.0), neg_slopes)))
 
-        self.source_arc_indices: List[int] = [
-            self.arc_index[a.arc_id] for a in arc_dag.out_arcs(arc_dag.source)]
-        self._sink_var: int = self.vertex_index[arc_dag.sink]
+        # Flow conservation at internal vertices (constraint 8): +1 for
+        # each out-arc, -1 for each in-arc, one row per internal vertex.
+        conservation_row = np.full(self.n_vars, -1, dtype=np.intp)
+        internal = [vertex_col[v] for v in vertices if v != source and v != sink]
+        conservation_row[internal] = np.arange(len(internal))
+        out_rows, in_rows = conservation_row[tails], conservation_row[heads]
+        out_mask, in_mask = out_rows >= 0, in_rows >= 0
+        eq = (np.concatenate((out_rows[out_mask], in_rows[in_mask])),
+              np.concatenate((arc_rows[out_mask], arc_rows[in_mask])),
+              np.concatenate((np.ones(int(out_mask.sum())),
+                              np.full(int(in_mask.sum()), -1.0))))
 
-        # min-makespan appends the budget row (constraint 9) last, so only
-        # its RHS entry changes between scenarios.
-        budget_row: Dict[int, float] = {i: 1.0 for i in self.source_arc_indices}
-        self._A_ub_prec, self._b_ub_prec = _to_sparse(rows_ub, self.n_vars)
-        self._A_ub_budget, b_with_budget = _to_sparse(rows_ub + [(budget_row, 0.0)],
-                                                      self.n_vars)
-        assert b_with_budget is not None
-        self._b_ub_budget_template: np.ndarray = b_with_budget
-        self._A_eq, self._b_eq = _to_sparse(rows_eq, self.n_vars)
-
-        # Bounds template: per-arc flow caps, source pinned at time 0; the
-        # sink's upper bound is patched per scenario for min-resource.
-        bounds: List[Tuple[float, Optional[float]]] = []
-        for arc in arcs:
-            rel = self.relaxed[arc.arc_id]
-            if rel.capped:
-                bounds.append((0.0, rel.full_resource))
-            else:
-                bounds.append((0.0, None))
-        for v in vertices:
-            if v == arc_dag.source:
-                bounds.append((0.0, 0.0))
-            else:
-                bounds.append((0.0, None))
-        self._bounds_template: List[Tuple[float, Optional[float]]] = bounds
-
-        self._c_makespan: np.ndarray = np.zeros(self.n_vars)
-        self._c_makespan[self._sink_var] = 1.0
-        self._c_resource: np.ndarray = np.zeros(self.n_vars)
-        for i in self.source_arc_indices:
-            self._c_resource[i] = 1.0
+        c_makespan = np.zeros(self.n_vars)
+        c_makespan[self._sink_var] = 1.0
+        c_resource = np.zeros(self.n_vars)
+        c_resource[self.source_arc_indices] = 1.0
+        budget_cols = np.array(self.source_arc_indices, dtype=np.intp)
+        budget = (np.full(len(budget_cols), m, dtype=np.intp), budget_cols,
+                  np.ones(len(budget_cols)))
+        # min-makespan appends the budget row (constraint 9) last among the
+        # inequalities, so only its RHS entry changes between scenarios.
+        self._budget_row: int = m
+        self._makespan_model = _highs_model(c_makespan, [prec, budget], eq,
+                                            prec_rhs + [0.0], len(internal))
+        self._resource_model = _highs_model(c_resource, [prec], eq, prec_rhs,
+                                            len(internal))
 
         #: Warm sweep state (memo + loaded highspy models), created lazily
         #: by the first warm solve; guarded by a lock because the engine's
@@ -410,23 +520,23 @@ class LPModelSkeleton:
         _KERNEL_COUNTERS["skeleton_builds"] += 1
 
     # ------------------------------------------------------------------
-    # per-scenario solves (RHS swap + HiGHS call only)
+    # per-scenario solves (RHS patch + HiGHS call only)
     # ------------------------------------------------------------------
     def solve_min_makespan(self, budget: float) -> LPSolution:
         """Solve LP (6)-(10) for one budget, reusing the prebuilt model."""
         check_non_negative(budget, "budget")
-        b_ub = self._b_ub_budget_template.copy()
-        b_ub[-1] = float(budget)
-        return self._solve_highs(self._c_makespan, self._A_ub_budget, b_ub,
-                                 self._bounds_template)
+        model = self._makespan_model
+        row_upper = model.row_upper.copy()
+        row_upper[self._budget_row] = float(budget)
+        return self._solve(model, row_upper, self._col_upper)
 
     def solve_min_resource(self, target_makespan: float) -> LPSolution:
         """Solve the min-resource variant for one target, reusing the model."""
         check_non_negative(target_makespan, "target_makespan")
-        bounds = list(self._bounds_template)
-        bounds[self._sink_var] = (0.0, float(target_makespan))
-        return self._solve_highs(self._c_resource, self._A_ub_prec,
-                                 self._b_ub_prec, bounds)
+        col_upper = self._col_upper.copy()
+        col_upper[self._sink_var] = float(target_makespan)
+        model = self._resource_model
+        return self._solve(model, model.row_upper, col_upper)
 
     # ------------------------------------------------------------------
     # warm-started sweeps (per-skeleton warm state threaded across solves)
@@ -523,27 +633,55 @@ class LPModelSkeleton:
             _KERNEL_COUNTERS["highs_rhs_resolves"] += 1
         return model.resolve(value)
 
-    def _solve_highs(self, c: np.ndarray, A_ub: Optional[csr_matrix],
-                     b_ub: Optional[np.ndarray],
-                     bounds: List[Tuple[float, Optional[float]]]) -> LPSolution:
+    def _solve(self, model: _HighsModel, row_upper: np.ndarray,
+               col_upper: np.ndarray) -> LPSolution:
+        """One HiGHS solve of ``model`` with the patched bounds.
+
+        Maps HiGHS's answer to a status exactly as ``linprog`` does:
+        SciPy's status mapping, then its ``_check_result``, so an optimum
+        that violates a bound or constraint beyond ``linprog``'s tolerance
+        fails here as it would there.
+        """
         _KERNEL_COUNTERS["skeleton_solves"] += 1
-        res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=self._A_eq, b_eq=self._b_eq,
-                      bounds=bounds, method="highs")
-        _KERNEL_COUNTERS["simplex_iterations"] += max(int(getattr(res, "nit", 0)), 0)
-        if res.status == 2:
+        direct = _direct_highs()
+        bounds = np.column_stack((self._col_lower, col_upper))
+        if direct is None:
+            _KERNEL_COUNTERS["linprog_fallbacks"] += 1
+            matrix = csc_matrix((model.data, model.indices, model.indptr),
+                                shape=(len(row_upper), self.n_vars))
+            n_ub = model.n_ub
+            res = linprog(model.cost, A_ub=matrix[:n_ub], b_ub=row_upper[:n_ub],
+                          A_eq=matrix[n_ub:], b_eq=row_upper[n_ub:],
+                          bounds=bounds, method="highs")
+            status, message, fun, x, nit = res.status, res.message, res.fun, res.x, res.nit
+        else:
+            out = direct.wrapper(model.cost, model.indptr, model.indices, model.data,
+                                 model.row_lower, row_upper, self._col_lower,
+                                 col_upper, _NO_INTEGRALITY, direct.options)
+            status, message = direct.to_scipy_status(out.get("status"),
+                                                     out.get("message"))
+            slack = con = None
+            if "slack" in out:
+                slack = np.array(out["slack"][:model.n_ub])
+                con = np.array(out["slack"][model.n_ub:])
+            x, fun = out["x"], out.get("fun")
+            status, message = direct.check_result(x, fun, status, slack, con, bounds,
+                                                  _LINPROG_TOL, message, None)
+            nit = out.get("simplex_nit", 0) or out.get("ipm_nit", 0)
+        _KERNEL_COUNTERS["simplex_iterations"] += max(int(nit), 0)
+        if status == 2:
             return LPSolution(status="infeasible", objective=math.inf,
                               relaxed_arcs=self.relaxed)
-        if not res.success:  # pragma: no cover - defensive
-            raise RuntimeError(f"LP solver failed: {res.message}")
-        return self._extract_solution(float(res.fun), res.x)
+        if status != 0:  # pragma: no cover - defensive
+            raise RuntimeError(f"LP solver failed: {message}")
+        return self._extract_solution(float(fun), x)
 
-    def _extract_solution(self, objective_value: float, x) -> LPSolution:
+    def _extract_solution(self, objective_value: float, x: Any) -> LPSolution:
         """An :class:`LPSolution` from a raw variable vector (any backend)."""
-        flows = {a.arc_id: float(max(x[self.arc_index[a.arc_id]], 0.0))
-                 for a in self._arcs}
-        times = {v: float(x[self.vertex_index[v]]) for v in self._vertices}
-        budget_used = float(sum(flows[a.arc_id]
-                                for a in self.arc_dag.out_arcs(self.arc_dag.source)))
+        values = np.asarray(x, dtype=float).tolist()
+        flows = {arc_id: max(value, 0.0) for arc_id, value in zip(self._arc_ids, values)}
+        times = dict(zip(self._vertices, values[len(self._arc_ids):]))
+        budget_used = float(sum(flows[self._arc_ids[i]] for i in self.source_arc_indices))
         return LPSolution(
             status="optimal",
             objective=objective_value,
@@ -558,11 +696,12 @@ class LPModelSkeleton:
 class _LoadedHighsModel:
     """One skeleton objective loaded into a persistent ``highspy.Highs``.
 
-    The model is passed to HiGHS once; every :meth:`resolve` only patches
-    the budget row's RHS (min-makespan) or the sink variable's upper bound
-    (min-resource) and re-runs, so HiGHS keeps its factorization and
-    warm-starts the dual simplex from the previous optimal basis --
-    the true basis-reuse path the scipy fallback cannot offer.
+    The skeleton's column-wise arrays are passed to HiGHS once; every
+    :meth:`resolve` only patches the budget row's RHS (min-makespan) or the
+    sink variable's upper bound (min-resource) and re-runs, so HiGHS keeps
+    its factorization and warm-starts the dual simplex from the previous
+    optimal basis -- the true basis-reuse path a fresh wrapper call cannot
+    offer.
     """
 
     def __init__(self, skeleton: "LPModelSkeleton", objective: str):
@@ -573,42 +712,24 @@ class _LoadedHighsModel:
         self._inf = float(highspy.kHighsInf)
         self._status_optimal = highspy.HighsModelStatus.kOptimal
         self._status_infeasible = highspy.HighsModelStatus.kInfeasible
-
-        if objective == "makespan":
-            cost = skeleton._c_makespan
-            A_ub, b_ub = skeleton._A_ub_budget, skeleton._b_ub_budget_template
-        else:
-            cost = skeleton._c_resource
-            A_ub, b_ub = skeleton._A_ub_prec, skeleton._b_ub_prec
-
-        n_ub = 0 if A_ub is None else A_ub.shape[0]
-        n_eq = 0 if skeleton._A_eq is None else skeleton._A_eq.shape[0]
-        self._budget_row = n_ub - 1  # only meaningful for min-makespan
+        model = (skeleton._makespan_model if objective == "makespan"
+                 else skeleton._resource_model)
+        n_rows = len(model.row_upper)
 
         lp = highspy.HighsLp()
         lp.num_col_ = skeleton.n_vars
-        lp.num_row_ = n_ub + n_eq
-        lp.col_cost_ = np.asarray(cost, dtype=float)
-        lp.col_lower_ = np.array([lo for lo, _hi in skeleton._bounds_template])
-        lp.col_upper_ = np.array([self._inf if hi is None else float(hi)
-                                  for _lo, hi in skeleton._bounds_template])
-        row_lower = np.full(n_ub + n_eq, -self._inf)
-        row_upper = np.empty(n_ub + n_eq)
-        row_upper[:n_ub] = b_ub if n_ub else []
-        if n_eq:
-            row_lower[n_ub:] = skeleton._b_eq
-            row_upper[n_ub:] = skeleton._b_eq
-        lp.row_lower_ = row_lower
-        lp.row_upper_ = row_upper
-
-        blocks = [m for m in (A_ub, skeleton._A_eq) if m is not None]
-        if blocks:
-            from scipy.sparse import vstack
-            stacked = vstack(blocks, format="csr")
-            lp.a_matrix_.format_ = highspy.MatrixFormat.kRowwise
-            lp.a_matrix_.start_ = np.asarray(stacked.indptr, dtype=np.int32)
-            lp.a_matrix_.index_ = np.asarray(stacked.indices, dtype=np.int32)
-            lp.a_matrix_.value_ = np.asarray(stacked.data, dtype=float)
+        lp.num_row_ = n_rows
+        lp.col_cost_ = model.cost
+        lp.col_lower_ = skeleton._col_lower
+        lp.col_upper_ = skeleton._col_upper
+        lp.row_lower_ = model.row_lower
+        lp.row_upper_ = model.row_upper
+        lp.a_matrix_.format_ = highspy.MatrixFormat.kColwise
+        lp.a_matrix_.num_col_ = skeleton.n_vars
+        lp.a_matrix_.num_row_ = n_rows
+        lp.a_matrix_.start_ = model.indptr
+        lp.a_matrix_.index_ = model.indices
+        lp.a_matrix_.value_ = model.data
 
         h = highspy.Highs()
         h.setOptionValue("output_flag", False)
@@ -622,7 +743,7 @@ class _LoadedHighsModel:
         """Re-solve the loaded model for one new RHS value."""
         skeleton = self.skeleton
         if self.objective == "makespan":
-            self.h.changeRowBounds(self._budget_row, -self._inf, float(value))
+            self.h.changeRowBounds(skeleton._budget_row, -self._inf, float(value))
         else:
             self.h.changeColBounds(skeleton._sink_var, 0.0, float(value))
         self.h.run()
@@ -636,8 +757,8 @@ class _LoadedHighsModel:
         require(model_status == self._status_optimal,
                 f"highspy solve failed: {model_status}")
         solution = self.h.getSolution()
-        x = np.asarray(solution.col_value, dtype=float)
-        return skeleton._extract_solution(float(self.h.getObjectiveValue()), x)
+        return skeleton._extract_solution(float(self.h.getObjectiveValue()),
+                                          solution.col_value)
 
 
 def solve_min_makespan_sweep(arc_dag: ArcDAG, budgets: Sequence[float],
@@ -649,7 +770,7 @@ def solve_min_makespan_sweep(arc_dag: ArcDAG, budgets: Sequence[float],
     via :meth:`LPModelSkeleton.solve_min_makespan_sweep` -- 1 model build,
     warm state threaded between solves.  See the module docstring for the
     backend contract (``highspy`` basis reuse vs. the bit-identical scipy
-    fallback).
+    default).
     """
     return LPModelSkeleton(arc_dag, big_m).solve_min_makespan_sweep(
         budgets, backend=backend)

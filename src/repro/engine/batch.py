@@ -52,11 +52,12 @@ __all__ = [
 #: Content-addressed skeleton cache: ``(arc-DAG fingerprint, big_m) -> skeleton``.
 _SKELETON_CACHE = LRUCache(maxsize=64)
 
-#: Identity fast path: ``id(arc_dag) -> (arc_dag, big_m, skeleton, shape)``.
-#: Entries hold the arc DAG strongly so a cached id cannot be recycled while
-#: the entry lives; the ``is`` + shape checks guard eviction races and
-#: in-place mutation (arc DAGs from the Section 2 / 3.1 transforms are
-#: never mutated, but a hand-built one could be).
+#: Identity fast path: ``id(arc_dag) -> (arc_dag, big_m, skeleton,
+#: mutation count)``.  Entries hold the arc DAG strongly so a cached id
+#: cannot be recycled while the entry lives; the ``is`` + mutation-count
+#: checks guard eviction races and in-place edits (arc DAGs from the
+#: Section 2 / 3.1 transforms are never edited, but a hand-built one could
+#: be).
 _ID_CACHE = LRUCache(maxsize=128)
 
 
@@ -69,17 +70,17 @@ def get_lp_skeleton(arc_dag: ArcDAG, big_m: Optional[float] = None) -> LPModelSk
     same workload rebuilt from its generator, or unpickled into a portfolio
     worker, still shares one model).
     """
-    shape = (arc_dag.num_arcs, arc_dag.num_vertices)
+    mutations = arc_dag.mutations
     hit = _ID_CACHE.get(id(arc_dag))
     if (hit is not None and hit[0] is arc_dag and hit[1] == big_m
-            and hit[3] == shape):
+            and hit[3] == mutations):
         return hit[2]
     key = (arcdag_fingerprint(arc_dag), big_m)
     skeleton = _SKELETON_CACHE.get(key)
     if skeleton is None:
         skeleton = LPModelSkeleton(arc_dag, big_m)
         _SKELETON_CACHE.put(key, skeleton)
-    _ID_CACHE.put(id(arc_dag), (arc_dag, big_m, skeleton, shape))
+    _ID_CACHE.put(id(arc_dag), (arc_dag, big_m, skeleton, mutations))
     return skeleton
 
 

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import math
 import os
+import signal
 import time
 from concurrent.futures import (
     Executor,
@@ -113,6 +114,18 @@ def _solve_spec_shard_task(items: Sequence[Any], method: str,
                                  options=options, validate=validate))
     return [(key, *next(solved)) if problem is not None else (None, None, failure)
             for key, problem, failure in zip(keys, problems, failures)]
+
+
+def _reset_worker_signals() -> None:
+    """Process-pool worker initializer: SIGINT and SIGTERM kill the worker.
+
+    A pool forked after ``repro.serve`` installed its asyncio signal
+    handlers would inherit them and the loop's wakeup fd, and so ignore
+    both signals; this restores the default dispositions instead.
+    """
+    signal.set_wakeup_fd(-1)
+    signal.signal(signal.SIGINT, signal.SIG_DFL)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
 
 
 @dataclass
@@ -219,7 +232,8 @@ class Portfolio:
     # ------------------------------------------------------------------
     def _new_executor(self, workers: int) -> Executor:
         if self.executor == "process":
-            return ProcessPoolExecutor(max_workers=workers)
+            return ProcessPoolExecutor(max_workers=workers,
+                                       initializer=_reset_worker_signals)
         return ThreadPoolExecutor(max_workers=workers)
 
     def start(self) -> "Portfolio":

@@ -784,12 +784,15 @@ class SolutionStore:
         """
         if not self.locking:
             return None
-        try:
-            os.makedirs(self._lock_dir, exist_ok=True)
-            held = _acquire_file_lock(
-                self._lock_path(name),
-                _process_lock(self._lock_root, name),
+        args = (self._lock_path(name), _process_lock(self._lock_root, name),
                 self.lock_timeout if timeout is None else timeout)
+        try:
+            try:
+                held = _acquire_file_lock(*args)
+            except FileNotFoundError:
+                # The constructor made locks/; someone removed it since.
+                os.makedirs(self._lock_dir, exist_ok=True)
+                held = _acquire_file_lock(*args)
         except OSError:  # pragma: no cover - unlockable filesystem
             if count_timeout:
                 self.lock_timeouts += 1

@@ -147,9 +147,10 @@ def _probe(dag: TradeoffDAG, digest: str) -> ProblemStructure:
     )
 
 
+#: Content tier: ``fingerprint -> (structure, its DAG's mutation count)``.
 _CACHE = LRUCache(maxsize=128)
 
-#: Identity fast path: ``id(dag) -> (dag, structure)``.  Keyed by object
+#: Identity fast path: ``id(dag) -> (dag, structure, mutation count)``.  Keyed by object
 #: identity so the per-scenario calls of a batched shard (every scenario in
 #: a group shares one normalized DAG object) skip re-normalization,
 #: re-validation and re-hashing entirely.  Entries hold the DAG strongly,
@@ -173,32 +174,29 @@ def analyze_dag(dag: TradeoffDAG) -> ProblemStructure:
     behind it.
     """
     hit = _ID_CACHE.get(id(dag))
-    if (hit is not None and hit[0] is dag
-            and hit[2] == (dag.num_jobs, dag.num_edges)):
+    if hit is not None and hit[0] is dag and hit[2] == dag.mutations:
         _PROBE_COUNTERS["identity_hits"] += 1
         return hit[1]
     original = dag
     dag = dag.ensure_single_source_sink()
     dag.validate()
     digest = dag_fingerprint(dag)
-    structure = _CACHE.get(digest)
-    if structure is None:
-        structure = _probe(dag, digest)
+    entry = _CACHE.get(digest)
+    # A cached probe whose DAG was edited since describes other content.
+    if entry is None or entry[0].dag.mutations != entry[1]:
+        entry = (_probe(dag, digest), dag.mutations)
         _PROBE_COUNTERS["probe_runs"] += 1
-        _CACHE.put(digest, structure)
-    # Entries carry the (num_jobs, num_edges) shape seen at probe time: a
-    # DAG mutated in place (add_job / add_edge) falls back to the content
-    # path, which re-fingerprints -- matching the pre-fast-path semantics.
-    # (Mutations preserving both counts, e.g. remove_edge + add_edge of a
-    # different edge, are not detected; rebuild the DAG instead.)
-    _ID_CACHE.put(id(original),
-                  (original, structure, (original.num_jobs, original.num_edges)))
+        _CACHE.put(digest, entry)
+    structure = entry[0]
+    # Entries carry the DAG's mutation count seen at probe time: a DAG
+    # edited in place (add_job / add_edge / remove_edge) falls back to the
+    # content path, which re-fingerprints.
+    _ID_CACHE.put(id(original), (original, structure, original.mutations))
     if structure.dag is not original:
         # Solvers re-enter analyze_dag with the *normalized* DAG the probe
         # recorded; map that object too so the re-entry is an identity hit.
         _ID_CACHE.put(id(structure.dag),
-                      (structure.dag, structure,
-                       (structure.dag.num_jobs, structure.dag.num_edges)))
+                      (structure.dag, structure, structure.dag.mutations))
     return structure
 
 

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+import signal
+import socket
 import time
 
 import pytest
@@ -186,3 +189,33 @@ def test_portfolio_process_executor_round_trips_reports():
     result = portfolio.solve(problem)
     assert result.runs and result.best.certificate is not None
     assert result.solver_id in ("greedy-path-reuse", "bicriteria-lp")
+
+
+def _worker_signal_state():
+    import signal
+    return (signal.getsignal(signal.SIGINT) is signal.SIG_DFL,
+            signal.getsignal(signal.SIGTERM) is signal.SIG_DFL,
+            signal.set_wakeup_fd(-1))
+
+
+@pytest.mark.skipif(not hasattr(socket, "socketpair") or os.name != "posix",
+                    reason="needs posix signals")
+def test_process_workers_restore_default_signals():
+    # What repro.serve's asyncio loop leaves behind before a pool forks: a
+    # Python-level SIGTERM handler and a wakeup fd.
+    ours, theirs = socket.socketpair()
+    ours.setblocking(False)
+    previous_handler = signal.signal(signal.SIGTERM, lambda *_args: None)
+    previous_fd = signal.set_wakeup_fd(ours.fileno())
+    try:
+        portfolio = Portfolio(executor="process", max_workers=1).start()
+        try:
+            state = portfolio.pool.submit(_worker_signal_state).result(timeout=60)
+        finally:
+            portfolio.close()
+    finally:
+        signal.set_wakeup_fd(previous_fd)
+        signal.signal(signal.SIGTERM, previous_handler)
+        ours.close()
+        theirs.close()
+    assert state == (True, True, -1)

@@ -115,3 +115,47 @@ def test_every_benchmark_metric_gets_a_verdict():
     assert [s["name"] for s in summaries] == [m["name"] for m in metrics]
     assert all(s["verdict"] == "within bound" for s in summaries)
     assert perf_pairs.render(summaries).count("\n") == len(metrics)
+
+
+class TestWriteTrajectory:
+    MACHINE = {"platform": "test-host", "cpu_count": 2, "python": "3.x",
+               "numpy": "n", "scipy": "s"}
+
+    def summaries(self, parent, change):
+        return perf_pairs.verdicts(pairs_of("throughput_per_s", parent, change),
+                                   [THROUGHPUT], claim="throughput_per_s")
+
+    def test_merges_each_workload_and_seed_and_keeps_the_rest(self, tmp_path):
+        path = str(tmp_path / "BENCH_n.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump({"label": "BENCH_n", "gate": "pass"}, handle)
+        cold = self.summaries([30, 31, 30, 29], [35, 34, 36, 35])
+        perf_pairs.write_trajectory(path, "cold-compute", 1, "HEAD", cold, self.MACHINE)
+        perf_pairs.write_trajectory(path, "cold-compute", 7, "HEAD", cold, self.MACHINE)
+        warm = self.summaries([100, 101, 99], [100, 102, 98])
+        perf_pairs.write_trajectory(path, "warm-wire", 1, "HEAD", warm, self.MACHINE)
+        with open(path, encoding="utf-8") as handle:
+            entry = json.load(handle)
+        assert entry["label"] == "BENCH_n" and entry["gate"] == "pass"
+        assert sorted(entry["perf_pairs"]) == ["cold-compute", "warm-wire"]
+        assert sorted(entry["perf_pairs"]["cold-compute"]) == ["1", "7"]
+        seed1 = entry["perf_pairs"]["cold-compute"]["1"]
+        assert seed1["machine"] == self.MACHINE and seed1["pairs"] == 4
+        metric = seed1["metrics"]["throughput_per_s"]
+        assert metric["verdict"] == "met" and metric["wins"] == 4
+        assert metric["parent"]["median"] == 30 and metric["change"]["median"] == 35
+
+    def test_a_new_file_is_created_and_a_rerun_replaces_its_table(self, tmp_path):
+        path = str(tmp_path / "fresh.json")
+        perf_pairs.write_trajectory(path, "warm-wire", 1, "HEAD~1",
+                                    self.summaries([1, 2], [3, 4]), self.MACHINE)
+        perf_pairs.write_trajectory(path, "warm-wire", 1, "HEAD",
+                                    self.summaries([1, 2, 3], [3, 4, 5]), self.MACHINE)
+        with open(path, encoding="utf-8") as handle:
+            table = json.load(handle)["perf_pairs"]["warm-wire"]["1"]
+        assert table["parent"] == "HEAD" and table["pairs"] == 3
+
+    def test_the_machine_label_names_the_toolchain(self):
+        label = perf_pairs.machine_label()
+        assert set(label) == {"platform", "cpu_count", "python", "numpy", "scipy"}
+        assert label["scipy"] != "absent" and label["cpu_count"] >= 1

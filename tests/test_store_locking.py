@@ -12,6 +12,7 @@ instead of wedging -- each outcome observable through the store counters.
 from __future__ import annotations
 
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -198,6 +199,32 @@ class TestLockingDisabled:
         assert store.lock_acquires == 0
         assert store.info()["locking"] is False
         assert not os.path.isdir(os.path.join(root, "locks"))
+
+
+class TestLockDirectory:
+    def test_writes_make_no_directories_after_construction(self, tmp_path,
+                                                            monkeypatch):
+        store = SolutionStore(str(tmp_path / "store"))
+        made = []
+        mkdir = os.mkdir
+        monkeypatch.setattr(os, "mkdir",
+                            lambda path, *args, **kw: made.append(path)
+                            or mkdir(path, *args, **kw))
+        for i in range(8):
+            assert store.put_many([(f"{i:02x}-key-{j}", {"v": j})
+                                   for j in range(3)]) == 3
+        assert made == []
+        assert store.lock_acquires == 8
+
+    def test_deleted_lock_directory_is_made_again(self, tmp_path):
+        root = str(tmp_path / "store")
+        store = SolutionStore(root)
+        assert store.put("aa-first", {"v": 1})
+        shutil.rmtree(os.path.join(root, "locks"))
+        assert store.put("aa-second", {"v": 2})
+        assert store.lock_timeouts == 0 and store.lock_acquires == 2
+        assert os.path.isdir(os.path.join(root, "locks"))
+        assert SolutionStore(root).get("aa-second") == {"v": 2}
 
 
 class TestCrossHandleReadCoherence:

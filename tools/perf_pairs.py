@@ -31,9 +31,14 @@ beat its parent run), and a verdict:
 Usage::
 
     python tools/perf_pairs.py --parent HEAD~1 --workload warm-wire \\
-        --seed 1 --pairs 10 --claim throughput_per_s [--workdir DIR]
+        --seed 1 --pairs 10 --claim throughput_per_s [--workdir DIR] \\
+        [--write-trajectory BENCH_<n>.json]
 
-Each run lasts ``BENCHMARK.json``'s ``run_seconds``.
+Each run lasts ``BENCHMARK.json``'s ``run_seconds``.  ``--write-trajectory``
+merges the per-metric table, labelled with the machine (platform, CPU
+count, Python, NumPy and SciPy versions), into that JSON file under
+``perf_pairs.<workload>.<seed>``; whatever else the file holds (such as
+``tools/compare_bench.py --write-trajectory``'s entry) is kept.
 
 Exit code: 0 when every run passed, no metric is worse and the claim (if
 any) is met; 1 otherwise.
@@ -42,9 +47,11 @@ any) is met; 1 otherwise.
 from __future__ import annotations
 
 import argparse
+import importlib.metadata
 import io
 import json
 import os
+import platform
 import shutil
 import statistics
 import subprocess
@@ -127,6 +134,39 @@ def verdicts(pairs: Sequence[Pair], metrics: Sequence[Dict[str, Any]],
 def passed(summaries: Sequence[Dict[str, Any]]) -> bool:
     """No metric worse or unresolved, and any claim met."""
     return all(s["verdict"] in ("within bound", "met") for s in summaries)
+
+
+def machine_label() -> Dict[str, Any]:
+    """The host and toolchain a measurement was taken with."""
+    def version(package: str) -> str:
+        try:
+            return importlib.metadata.version(package)
+        except importlib.metadata.PackageNotFoundError:
+            return "absent"
+    return {"platform": platform.platform(), "cpu_count": os.cpu_count(),
+            "python": platform.python_version(),
+            "numpy": version("numpy"), "scipy": version("scipy")}
+
+
+def write_trajectory(path: str, workload: str, seed: int, parent: str,
+                     summaries: Sequence[Dict[str, Any]],
+                     machine: Dict[str, Any]) -> None:
+    """Merge one workload's per-metric table into the JSON file at ``path``."""
+    entry: Dict[str, Any] = {}
+    if os.path.exists(path):
+        with open(path, encoding="utf-8") as handle:
+            entry = json.load(handle)
+    table = entry.setdefault("perf_pairs", {}).setdefault(workload, {})
+    table[str(seed)] = {
+        "parent": parent, "machine": machine,
+        "pairs": summaries[0]["pairs"] if summaries else 0,
+        "metrics": {s["name"]: {key: s[key] for key in (
+            "better", "parent", "change", "wins", "relative_change", "verdict")}
+            for s in summaries},
+    }
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(entry, handle, indent=2, sort_keys=True)
+        handle.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +267,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="end-to-end metric the change claims to improve")
     parser.add_argument("--workdir", default=None,
                         help="where the two checkouts go (default: a temp dir)")
+    parser.add_argument("--write-trajectory", default=None, metavar="PATH",
+                        help="merge the per-metric table into this JSON file")
     args = parser.parse_args(argv)
 
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as handle:
@@ -250,6 +292,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
           f"of {seconds:g} s (parent {args.parent})")
     if summaries:
         print(render(summaries))
+        if args.write_trajectory:
+            parent_id = subprocess.run(["git", "rev-parse", args.parent], cwd=ROOT,
+                                       capture_output=True, text=True).stdout.strip()
+            write_trajectory(args.write_trajectory, args.workload, args.seed,
+                             parent_id or args.parent, summaries, machine_label())
+            print(f"merged into {args.write_trajectory}")
     if stopped:
         print(f"stopped: {stopped}")
     return 0 if pairs and not stopped and passed(summaries) else 1
