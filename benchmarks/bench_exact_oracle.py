@@ -7,7 +7,7 @@ optimum and the search's machine-independent counters
 (:class:`~repro.core.exact.ExactSearchStats`):
 
 * ``explored`` -- search nodes visited (what ``node_limit`` bounds);
-* ``flow_solves`` -- min-flows solved;
+* ``flow_solves`` -- canonical min-flow solves (warm updates not counted);
 * ``flow_reuses`` -- nodes that took their parent's min-flow instead.
 
 Instances: the Theorem 4.1 reduction of the one-clause formula

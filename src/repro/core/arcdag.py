@@ -27,7 +27,7 @@ from typing import Dict, Hashable, List, Mapping, Optional, Tuple
 from repro.core.dag import TradeoffDAG
 from repro.core.duration import ZERO_DURATION, DurationFunction, GeneralStepDuration
 from repro.utils.ordering import topological_order
-from repro.utils.validation import require
+from repro.utils.validation import ValidationError, require
 
 __all__ = [
     "Arc",
@@ -132,7 +132,8 @@ class ArcDAG:
             duration = ZERO_DURATION
         if arc_id is None:
             arc_id = f"a{next(self._counter)}"
-        require(arc_id not in self._arcs, f"duplicate arc id {arc_id!r}")
+        if arc_id in self._arcs:
+            raise ValidationError(f"duplicate arc id {arc_id!r}")
         arc = Arc(arc_id, tail, head, duration, is_dummy, label)
         self._arcs[arc_id] = arc
         self._out[tail].append(arc_id)

@@ -20,9 +20,13 @@ reductions end to end:
   formulas.
 
 Each search compiles its DAG once (topological order, arc index lists, one
-min-flow network), takes its parent's min-flow wherever that stays optimal,
-and prunes with the arcs every improving completion must expedite; none of
-this changes an answer (see "Exact oracle" in ``docs/performance.md``).
+min-flow network) and prunes with the arcs every improving completion must
+expedite.  Its bounds read warm min-flows: every node updates its parent's
+optimal flow (:meth:`~repro.core.minflow.MinFlowNetwork.warm`), and the
+canonical solve runs only for a flow or value that leaves the search -- a
+new incumbent -- and for a warm value too near the threshold it is compared
+with to decide alone.  None of this changes an answer or a returned flow
+(see "Exact oracle" in ``docs/performance.md``).
 """
 
 from __future__ import annotations
@@ -35,10 +39,11 @@ from typing import Callable, Dict, Hashable, List, Mapping, Optional, Sequence, 
 from repro.core.arcdag import Arc, ArcDAG, node_to_arc_dag
 from repro.core.dag import TradeoffDAG
 from repro.core.minflow import (
-    InfeasibleFlowError,
     MinFlowNetwork,
     MinFlowResult,
+    WarmFlow,
     min_flow_with_lower_bounds,
+    warm_tolerance,
 )
 from repro.core.problem import TradeoffSolution
 from repro.utils.validation import check_non_negative, require
@@ -109,6 +114,45 @@ class _CompiledMakespan:
         return max(finish, default=0.0)
 
 
+class _WarmEnumeration:
+    """The min-flow checks of a node enumeration, on one warm flow.
+
+    Each checked combination updates the warm flow of the one checked
+    before it, on the job arcs whose allocation changed.  :meth:`check`
+    solves canonically only where the warm value does not already reject
+    the combination, and then decides by the canonical value, so every
+    decision and every reported budget is the canonical solve's.
+    """
+
+    def __init__(self, dag: TradeoffDAG, jobs: Sequence[Hashable],
+                 levels: Mapping[Hashable, Sequence[Tuple[float, float]]]) -> None:
+        arc_dag, mapping = node_to_arc_dag(dag)
+        self.arc_dag = arc_dag
+        self.network = MinFlowNetwork(arc_dag)
+        self.job_arcs = [mapping.job_arc[job] for job in jobs]
+        self.indices = [self.network.arc_index(arc_id) for arc_id in self.job_arcs]
+        self.state = self.network.warm_start()
+        self.tolerance = warm_tolerance(r for opts in levels.values() for r, _t in opts)
+
+    def check(self, combo: Sequence[Tuple[float, float]],
+              rejects: Callable[[float], bool]) -> Optional[MinFlowResult]:
+        """The canonical min-flow of ``combo``'s allocation, or ``None`` if ``rejects`` its value.
+
+        ``rejects`` must be monotone in the value.  When it rejects the warm
+        value even lowered by the tolerance, it rejects the canonical value
+        too, and nothing is solved.
+        """
+        lower = self.state.lower
+        self.state = self.network.warm(
+            self.state, [(i, r) for i, (r, _t) in zip(self.indices, combo) if r != lower[i]])
+        if rejects(self.state.value - self.tolerance):
+            return None
+        result = min_flow_with_lower_bounds(
+            self.arc_dag, {arc: r for arc, (r, _t) in zip(self.job_arcs, combo) if r > 0},
+            network=self.network)
+        return None if rejects(result.value) else result
+
+
 def exact_min_makespan(dag: TradeoffDAG, budget: float,
                        max_combinations: int = 200_000) -> TradeoffSolution:
     """Exact minimum makespan under budget ``budget`` (reuse over paths).
@@ -116,7 +160,9 @@ def exact_min_makespan(dag: TradeoffDAG, budget: float,
     Enumerates every combination of per-job breakpoint allocations, keeps
     those whose minimum routing flow fits in the budget, and returns the
     best makespan.  Raises :class:`ExactSearchLimit` if the number of
-    combinations exceeds ``max_combinations``.
+    combinations exceeds ``max_combinations``.  One warm min-flow follows
+    the checked combinations; only those its value admits are solved
+    canonically (see :class:`_WarmEnumeration`).
     """
     check_non_negative(budget, "budget")
     dag = dag.ensure_single_source_sink()
@@ -127,10 +173,8 @@ def exact_min_makespan(dag: TradeoffDAG, budget: float,
         raise ExactSearchLimit(
             f"{count} allocation combinations exceed the limit of {max_combinations}")
 
-    arc_dag, mapping = node_to_arc_dag(dag)
-    network = MinFlowNetwork(arc_dag)
     jobs = list(levels)
-    job_arcs = [mapping.job_arc[j] for j in jobs]
+    flows = _WarmEnumeration(dag, jobs, levels)
     evaluator = _CompiledMakespan(dag, jobs)
     best: Optional[TradeoffSolution] = None
     pruned = 0
@@ -140,13 +184,9 @@ def exact_min_makespan(dag: TradeoffDAG, budget: float,
         if best is not None and makespan >= best.makespan:
             pruned += 1
             continue
-        lower = {arc: r for arc, (r, _t) in zip(job_arcs, combo) if r > 0}
         flow_checks += 1
-        try:
-            result = min_flow_with_lower_bounds(arc_dag, lower, network=network)
-        except InfeasibleFlowError:
-            continue
-        if result.value > budget + 1e-9:
+        result = flows.check(combo, lambda value: value > budget + 1e-9)
+        if result is None:
             continue
         best = TradeoffSolution(
             makespan=makespan,
@@ -181,10 +221,8 @@ def exact_min_resource(dag: TradeoffDAG, target_makespan: float,
         raise ExactSearchLimit(
             f"{count} allocation combinations exceed the limit of {max_combinations}")
 
-    arc_dag, mapping = node_to_arc_dag(dag)
-    network = MinFlowNetwork(arc_dag)
     jobs = list(levels)
-    job_arcs = [mapping.job_arc[j] for j in jobs]
+    flows = _WarmEnumeration(dag, jobs, levels)
     evaluator = _CompiledMakespan(dag, jobs)
     best: Optional[TradeoffSolution] = None
     pruned = 0
@@ -201,13 +239,10 @@ def exact_min_resource(dag: TradeoffDAG, target_makespan: float,
         if best is not None and max([r for r, _t in combo], default=0.0) >= best.budget_used:
             pruned += 1
             continue
-        lower = {arc: r for arc, (r, _t) in zip(job_arcs, combo) if r > 0}
         flow_checks += 1
-        try:
-            result = min_flow_with_lower_bounds(arc_dag, lower, network=network)
-        except InfeasibleFlowError:
-            continue
-        if best is None or result.value < best.budget_used:
+        incumbent = math.inf if best is None else best.budget_used
+        result = flows.check(combo, lambda value: not value < incumbent)
+        if result is not None:
             best = TradeoffSolution(
                 makespan=makespan,
                 budget_used=result.value,
@@ -243,15 +278,20 @@ class ExactSearchStats:
     explored:
         Search nodes visited (what ``node_limit`` bounds).
     flow_solves:
-        Min-flows solved.
+        Canonical min-flow solves: one per new incumbent, plus one per warm
+        value too near its threshold to decide alone.
     flow_reuses:
-        Nodes whose min-flow bound came from their parent's flow instead of
-        a solve.
+        Nodes whose min-flow is their parent's flow unchanged.
+    flow_updates:
+        Warm min-flows updated for a shortfall: an expedite child whose
+        parent's flow does not carry its new requirement, or a forced-arc
+        bound its node's flow does not meet.
     """
 
     explored: int = 0
     flow_solves: int = 0
     flow_reuses: int = 0
+    flow_updates: int = 0
 
 
 @dataclass
@@ -287,9 +327,10 @@ class _ArcSearch:
     out-arcs as index lists, the base times and the min-flow network.  The
     search keeps one list of durations by arc index -- decided arcs at their
     decided time, undecided arcs expedited -- so the optimistic longest path
-    of a node is one pass over arrays.  Both arc searches run it; they
-    differ in their two bounds, their objective and which branch comes
-    first.
+    of a node is one pass over arrays.  Each node carries a
+    :class:`~repro.core.minflow.WarmFlow`, an optimal flow of its committed
+    requirements.  Both arc searches run it; they differ in their two
+    bounds, their objective and which branch comes first.
     """
 
     def __init__(self, arc_dag: ArcDAG, node_limit: int) -> None:
@@ -309,6 +350,7 @@ class _ArcSearch:
         self.base = [arc.base_time for arc in arcs]
         self.arc_dag = arc_dag
         self.network = MinFlowNetwork(arc_dag)
+        self.tolerance = warm_tolerance(choice.requirement for choice in self.choices)
         self.node_limit = node_limit
         self.stats = ExactSearchStats()
         self.best_value = math.inf
@@ -328,13 +370,25 @@ class _ArcSearch:
             times[v] = max([times[u] + durations[a] for u, a in pairs])
         return times
 
-    def min_flow(self, lower: Mapping[str, float]) -> MinFlowResult:
-        """The min-flow of ``lower``, solved on the compiled network."""
+    def min_flow(self, state: WarmFlow) -> MinFlowResult:
+        """The canonical min-flow of ``state``'s lower bounds, solved on the compiled network."""
         self.stats.flow_solves += 1
-        return min_flow_with_lower_bounds(self.arc_dag, lower, network=self.network)
+        return min_flow_with_lower_bounds(self.arc_dag, self.network.lower_bounds(state),
+                                          network=self.network)
 
-    def forced_arcs_prune(self, index: int, expedited: Mapping[str, float],
-                          partial: MinFlowResult, durations: Sequence[float],
+    def costs_too_much(self, state: WarmFlow, too_costly: Callable[[float], bool]) -> bool:
+        """``too_costly`` of the min-flow value of ``state``, as the canonical solve decides it.
+
+        The warm value decides unless moving it by the tolerance either way
+        would change the answer; then the canonical value does.
+        """
+        value = state.value
+        if self.tolerance and too_costly(value - self.tolerance) != too_costly(
+                value + self.tolerance):
+            value = self.min_flow(state).value
+        return too_costly(value)
+
+    def forced_arcs_prune(self, index: int, state: WarmFlow, durations: Sequence[float],
                           times: Sequence[float], too_long: Callable[[float], bool],
                           too_costly: Callable[[float], bool]) -> bool:
         """Bound 3: whether the arcs every improving completion must expedite cost too much.
@@ -353,15 +407,14 @@ class _ArcSearch:
         rest = [0.0] * self._num_vertices
         for v, pairs in self._out_of:
             rest[v] = max([durations[a] + rest[w] for w, a in pairs])
-        forced = {choice.arc_id: choice.requirement for choice in self.choices[index:]
-                  if too_long(times[choice.tail] + choice.base_time + rest[choice.head])}
-        if all(partial.flow[arc_id] >= need for arc_id, need in forced.items()):
-            # ``partial`` meets them too, and it passed bound 2
+        forced = [(choice.index, choice.requirement) for choice in self.choices[index:]
+                  if too_long(times[choice.tail] + choice.base_time + rest[choice.head])]
+        flow = state.flow
+        if all(flow[arc] >= need for arc, need in forced):
+            # the node's flow meets them too, and it passed bound 2
             return False
-        try:
-            return too_costly(self.min_flow({**expedited, **forced}).value)
-        except InfeasibleFlowError:
-            return True
+        self.stats.flow_updates += 1
+        return self.costs_too_much(self.network.warm(state, forced), too_costly)
 
     def run(self, too_long: Callable[[float], bool], too_costly: Callable[[float], bool],
             objective: Callable[[float, MinFlowResult], float], expedite_first: bool,
@@ -372,69 +425,68 @@ class _ArcSearch:
         when the min-flow of its committed requirements is ``too_costly``
         (bound 2; it only grows as more arcs are expedited) or by
         :meth:`forced_arcs_prune`.  A leaf that survives is the new
-        incumbent, valued by ``objective(makespan, min-flow)``.  The
+        incumbent, valued by ``objective(makespan, min-flow)`` on its
+        canonical min-flow, which is also the flow the search returns.  The
         not-expedite child commits what its parent did and takes the
-        parent's min-flow; the expedite child takes it too when the parent's
-        flow already carries the new requirement, since that flow then
-        stays optimal.  ``own`` says whether ``partial`` was solved for
-        exactly the node's requirements; a new incumbent's flow is solved
-        afresh when it was not, so that it is the flow its own requirements
-        give.  ``stats`` receives the counts, also when the search stops at
-        ``node_limit``.
+        parent's flow.  The expedite child takes it too, with the new
+        requirement recorded, when that flow already carries it, since the
+        flow then stays optimal; otherwise it updates the parent's flow.  An
+        update waits until bound 1 has let the child through.  ``stats``
+        receives the counts, also when the search stops at ``node_limit``.
         """
         choices = self.choices
         durations = self.optimistic_durations()
         sink = self.sink
+        network = self.network
+        counts = self.stats
 
-        def visit(index: int, expedited: Dict[str, float],
-                  partial: Optional[MinFlowResult], own: bool) -> None:
-            self.stats.explored += 1
-            if self.stats.explored > self.node_limit:
+        def visit(index: int, state: WarmFlow, change: Optional[Tuple[int, float]]) -> None:
+            counts.explored += 1
+            if counts.explored > self.node_limit:
                 raise ExactSearchLimit(f"branch-and-bound exceeded {self.node_limit} nodes")
 
             times = self.event_times(durations)
             if too_long(times[sink]):
                 return
-            if partial is None:
-                try:
-                    partial = self.min_flow(expedited)
-                except InfeasibleFlowError:
-                    return
-                own = True
-            else:
-                self.stats.flow_reuses += 1
-            if too_costly(partial.value):
+            if change is not None:
+                arc, need = change
+                if state.flow[arc] >= need:
+                    counts.flow_reuses += 1
+                else:
+                    counts.flow_updates += 1
+                state = network.warm(state, [change])
+            elif index:
+                counts.flow_reuses += 1
+            if self.costs_too_much(state, too_costly):
                 return
 
             if index == len(choices):
-                if not own:
-                    partial = self.min_flow(expedited)
-                self.best_value = objective(times[sink], partial)
-                self.best_flow = partial.flow
+                result = self.min_flow(state)
+                self.best_value = objective(times[sink], result)
+                self.best_flow = result.flow
                 return
             if not math.isinf(self.best_value) and self.forced_arcs_prune(
-                    index, expedited, partial, durations, times, too_long, too_costly):
+                    index, state, durations, times, too_long, too_costly):
                 return
 
             choice = choices[index]
-            carried = partial.flow[choice.arc_id] >= choice.requirement
-            expedite = (index + 1, {**expedited, choice.arc_id: choice.requirement},
-                        partial if carried else None, False)
+            expedite = (index + 1, state, (choice.index, choice.requirement))
             if expedite_first:
                 visit(*expedite)
             durations[choice.index] = choice.base_time
-            visit(index + 1, expedited, partial, own)
+            visit(index + 1, state, None)
             durations[choice.index] = choice.improved_time
             if not expedite_first:
                 visit(*expedite)
 
         try:
-            visit(0, {}, None, False)
+            visit(0, network.warm_start(), None)
         finally:
             if stats is not None:
-                stats.explored += self.stats.explored
-                stats.flow_solves += self.stats.flow_solves
-                stats.flow_reuses += self.stats.flow_reuses
+                stats.explored += counts.explored
+                stats.flow_solves += counts.flow_solves
+                stats.flow_reuses += counts.flow_reuses
+                stats.flow_updates += counts.flow_updates
 
 
 def exact_min_resource_arcs(arc_dag: ArcDAG, target_makespan: float,

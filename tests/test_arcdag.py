@@ -50,7 +50,7 @@ class TestArcDAG:
     def test_duplicate_arc_id_rejected(self):
         dag = ArcDAG()
         dag.add_arc("s", "a", arc_id="e")
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="duplicate arc id 'e'"):
             dag.add_arc("a", "t", arc_id="e")
 
     def test_total_finite_base_time_skips_infinities(self):

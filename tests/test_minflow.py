@@ -14,6 +14,7 @@ from repro.core.minflow import (
 )
 from repro.core.dag import TradeoffDAG
 from repro.core.duration import RecursiveBinarySplitDuration
+from repro.utils.validation import ValidationError
 
 
 def build_chain_arcdag(n_arcs: int) -> ArcDAG:
@@ -88,6 +89,31 @@ class TestMinFlowParallel:
         result = min_flow_with_lower_bounds(dag, {"e0": 2})
         rf = result.as_resource_flow(dag)
         assert rf.budget_used() == 2
+
+
+class TestUnknownArcIds:
+    """A bound on an arc the DAG does not have is an error, never ignored."""
+
+    @staticmethod
+    def _dag() -> ArcDAG:
+        dag = ArcDAG()
+        dag.add_arc("s", "a", arc_id="e1")
+        dag.add_arc("a", "t", arc_id="e2")
+        dag.add_arc("s", "t", arc_id="e3")
+        return dag
+
+    def test_lower_bound_on_unknown_arc_rejected(self):
+        with pytest.raises(ValidationError, match="lower bound for arc 'nope'"):
+            min_flow_with_lower_bounds(self._dag(), {"nope": 1.0})
+
+    def test_upper_bound_on_unknown_arc_rejected(self):
+        with pytest.raises(ValidationError, match="upper bound for arc 'nope'"):
+            min_flow_with_lower_bounds(self._dag(), {"e1": 1.0}, upper_bounds={"nope": 0.5})
+
+    def test_known_arcs_still_solve(self):
+        result = min_flow_with_lower_bounds(self._dag(), {"e1": 1.0, "e3": 2.0},
+                                            upper_bounds={"e2": 4.0})
+        assert result.value == 3.0
 
 
 class TestAllocationMinBudget:
