@@ -44,12 +44,9 @@ from repro.core.minflow import (
 )
 from repro.core.lp import (
     LPSolution,
-    available_lp_backends,
     lp_kernel_counters,
     solve_min_makespan_lp,
-    solve_min_makespan_sweep,
     solve_min_resource_lp,
-    solve_min_resource_sweep,
 )
 from repro.core.rounding import RoundedRequirements, round_lp_solution
 from repro.core.problem import MinMakespanProblem, MinResourceProblem, TradeoffSolution
@@ -104,9 +101,7 @@ __all__ = [
     "MinFlowResult", "MinFlowNetwork", "InfeasibleFlowError", "min_flow_with_lower_bounds",
     "allocation_min_budget",
     # LP + rounding
-    "LPSolution", "solve_min_makespan_lp", "solve_min_resource_lp",
-    "solve_min_makespan_sweep", "solve_min_resource_sweep",
-    "available_lp_backends", "lp_kernel_counters",
+    "LPSolution", "solve_min_makespan_lp", "solve_min_resource_lp", "lp_kernel_counters",
     "RoundedRequirements", "round_lp_solution",
     # problems / solutions
     "MinMakespanProblem", "MinResourceProblem", "TradeoffSolution",

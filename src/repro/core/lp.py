@@ -39,46 +39,16 @@ model to HiGHS.  The one-shot :func:`solve_min_makespan_lp` /
 sweeps over the same DAG should reuse one skeleton -- the engine's
 batching layer (:mod:`repro.engine.batch`) caches skeletons per arc-DAG
 fingerprint.  :func:`lp_kernel_counters` exposes machine-independent work
-counters (skeleton builds vs. solves) so benchmarks can assert the
-elimination.
-
-**Warm-started sweeps.**  Beyond skipping the model construction, an ordered
-parameter sweep over one skeleton can reuse *solver* state between solves:
-:meth:`LPModelSkeleton.solve_min_makespan_sweep` /
-:meth:`~LPModelSkeleton.solve_min_resource_sweep` (and their per-call form,
-:meth:`~LPModelSkeleton.warm_solve_min_makespan` /
-:meth:`~LPModelSkeleton.warm_solve_min_resource`, which the engine's cached
-LP backend routes every solve through) thread a per-skeleton *warm state*
-across solves.  Two backends implement it:
-
-* ``highspy`` (optional) -- the model is loaded into one persistent
-  ``Highs`` instance per skeleton; each sweep step changes only the budget
-  row's RHS (or the sink bound) and re-runs, so HiGHS warm-starts from the
-  previous optimal basis.  Results are validated by the engine's
-  certificate checks, not pinned bit-for-bit against scipy.
-* ``scipy`` (always available, the default) -- each distinct RHS is a
-  fresh HiGHS call exactly as the scalar path makes it (results stay
-  bit-for-bit identical to :meth:`~LPModelSkeleton.solve_min_makespan` /
-  :meth:`~LPModelSkeleton.solve_min_resource`); the warm state still
-  answers *repeated* RHS values from its memo without a solver call.
-
-The warm-state counters (see :func:`lp_kernel_counters`):
-``warm_start_hits`` counts solves that consumed warm context from a
-previous solve on the same skeleton (every sweep solve after the first),
-``warm_reuse_hits`` the subset answered from the memo with no solver call,
-``sweep_solves`` the parameters routed through the warm kernel, and
-``simplex_iterations`` the total simplex iteration count reported by the
-backend -- the machine-independent "how much pivoting actually happened"
-metric ``benchmarks/bench_warm_lp.py`` gates on.
+counters (skeleton builds vs. solves, simplex iterations) so benchmarks
+can assert the elimination.
 """
 
 from __future__ import annotations
 
 import inspect
 import math
-import threading
 from dataclasses import dataclass, field
-from typing import Any, Dict, Hashable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Dict, Hashable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 from scipy.optimize import linprog
@@ -89,59 +59,27 @@ from repro.utils.validation import check_non_negative, require
 
 __all__ = ["LPSolution", "RelaxedArc", "LPModelSkeleton", "build_relaxed_arcs",
            "solve_min_makespan_lp", "solve_min_resource_lp", "linear_relaxed_duration",
-           "solve_min_makespan_sweep", "solve_min_resource_sweep",
-           "available_lp_backends", "lp_kernel_counters", "reset_lp_kernel_counters"]
+           "lp_kernel_counters", "reset_lp_kernel_counters"]
 
 
 #: Machine-independent work counters for the LP kernel: ``skeleton_builds``
 #: counts full model constructions (relaxed arcs + index maps + HiGHS
-#: arrays), ``skeleton_solves`` counts HiGHS invocations and
+#: arrays), ``skeleton_solves`` counts HiGHS invocations,
 #: ``linprog_fallbacks`` the subset that went through ``linprog`` because
-#: SciPy's private HiGHS wrapper failed its probe.  A budget sweep that
-#: reuses one skeleton performs 1 build and N solves; the per-scenario
-#: rebuild path performs N of each.  The warm-state counters are documented
-#: in the module docstring.
+#: SciPy's private HiGHS wrapper failed its probe, and
+#: ``simplex_iterations`` the simplex iterations HiGHS reported.  A budget
+#: sweep that reuses one skeleton performs 1 build and N solves; the
+#: per-scenario rebuild path performs N of each.
 _KERNEL_COUNTERS: Dict[str, int] = {
     "skeleton_builds": 0,
     "skeleton_solves": 0,
     "linprog_fallbacks": 0,
     "simplex_iterations": 0,
-    "sweep_solves": 0,
-    "warm_start_hits": 0,
-    "warm_reuse_hits": 0,
-    "highs_model_builds": 0,
-    "highs_rhs_resolves": 0,
-    "highs_fallbacks": 0,
 }
-
-#: Lazily-resolved optional highspy module (``False`` = probed and absent).
-_HIGHSPY: Any = None
-
-
-def _load_highspy() -> Any:
-    """The ``highspy`` module, or ``None`` when it is not installed.
-
-    The import is probed once per process; the container/CI images do not
-    ship highspy by default, so every warm-sweep path must (and does) work
-    on the scipy fallback alone.
-    """
-    global _HIGHSPY
-    if _HIGHSPY is None:
-        try:
-            import highspy  # type: ignore[import-not-found]
-            _HIGHSPY = highspy
-        except ImportError:
-            _HIGHSPY = False
-    return _HIGHSPY or None
-
-
-def available_lp_backends() -> Tuple[str, ...]:
-    """The usable sweep backends, best first (``"highspy"`` only if installed)."""
-    return ("highspy", "scipy") if _load_highspy() is not None else ("scipy",)
 
 
 def lp_kernel_counters() -> Dict[str, int]:
-    """A snapshot of the LP kernel's work counters (see module docstring)."""
+    """A snapshot of the LP kernel's work counters (see ``_KERNEL_COUNTERS``)."""
     return dict(_KERNEL_COUNTERS)
 
 
@@ -254,15 +192,14 @@ def _big_m(arc_dag: ArcDAG) -> float:
     return max(finite * 4.0 + 16.0, 1024.0)
 
 
-def build_relaxed_arcs(arc_dag: ArcDAG, big_m: Optional[float] = None) -> Dict[str, RelaxedArc]:
+def build_relaxed_arcs(arc_dag: ArcDAG) -> Dict[str, RelaxedArc]:
     """Compute the relaxed (linearised) view of every arc.
 
     Arcs must carry at most two resource-time tuples (run
     :func:`repro.core.arcdag.expand_to_two_tuples` first); a ``ValueError``
     is raised otherwise.
     """
-    if big_m is None:
-        big_m = _big_m(arc_dag)
+    big_m = _big_m(arc_dag)
     relaxed: Dict[str, RelaxedArc] = {}
     for arc in arc_dag.arcs:
         tuples = arc.duration.tuples()
@@ -332,46 +269,6 @@ class LPSolution:
         return linear_relaxed_duration(self.relaxed_arcs[arc_id], self.flows.get(arc_id, 0.0))
 
 
-def _copy_solution(solution: LPSolution) -> LPSolution:
-    """A defensive copy of ``solution`` (memo entries must never alias)."""
-    return LPSolution(
-        status=solution.status,
-        objective=solution.objective,
-        flows=dict(solution.flows),
-        times=dict(solution.times),
-        makespan=solution.makespan,
-        budget_used=solution.budget_used,
-        relaxed_arcs=solution.relaxed_arcs,
-    )
-
-
-class _WarmState:
-    """Per-skeleton sweep state threaded across warm solves.
-
-    Holds the RHS memo (``(objective, value) -> LPSolution``, bounded,
-    insertion-evicted), the number of solves performed so far (a solve with
-    ``solves > 0`` has warm context and counts as a warm-start hit), and --
-    under the highspy backend -- the loaded ``Highs`` models whose basis
-    carries over between RHS-only re-solves.
-    """
-
-    __slots__ = ("memo", "order", "solves", "highs_models")
-    MEMO_CAP = 32
-
-    def __init__(self) -> None:
-        self.memo: Dict[Tuple[str, float], LPSolution] = {}
-        self.order: List[Tuple[str, float]] = []
-        self.solves = 0
-        self.highs_models: Dict[str, Any] = {}
-
-    def remember(self, key: Tuple[str, float], solution: LPSolution) -> None:
-        if key not in self.memo:
-            self.order.append(key)
-            while len(self.order) > self.MEMO_CAP:
-                self.memo.pop(self.order.pop(0), None)
-        self.memo[key] = _copy_solution(solution)
-
-
 class _HighsModel(NamedTuple):
     """One objective's LP as ``linprog`` hands it to HiGHS.
 
@@ -437,10 +334,10 @@ class LPModelSkeleton:
     engine's batching layer caches them per content fingerprint.
     """
 
-    def __init__(self, arc_dag: ArcDAG, big_m: Optional[float] = None):
+    def __init__(self, arc_dag: ArcDAG):
         arc_dag.validate()
         self.arc_dag = arc_dag
-        self.relaxed: Dict[str, RelaxedArc] = build_relaxed_arcs(arc_dag, big_m)
+        self.relaxed: Dict[str, RelaxedArc] = build_relaxed_arcs(arc_dag)
         arcs = arc_dag.arcs
         vertices = arc_dag.vertices
         m = len(arcs)
@@ -510,13 +407,6 @@ class LPModelSkeleton:
         self._resource_model = _highs_model(c_resource, [prec], eq, prec_rhs,
                                             len(internal))
 
-        #: Warm sweep state (memo + loaded highspy models), created lazily
-        #: by the first warm solve; guarded by a lock because the engine's
-        #: process-wide skeleton cache can hand one skeleton to several
-        #: portfolio threads.
-        self._warm: Optional[_WarmState] = None
-        self._warm_lock = threading.Lock()
-
         _KERNEL_COUNTERS["skeleton_builds"] += 1
 
     # ------------------------------------------------------------------
@@ -537,101 +427,6 @@ class LPModelSkeleton:
         col_upper[self._sink_var] = float(target_makespan)
         model = self._resource_model
         return self._solve(model, model.row_upper, col_upper)
-
-    # ------------------------------------------------------------------
-    # warm-started sweeps (per-skeleton warm state threaded across solves)
-    # ------------------------------------------------------------------
-    def warm_solve_min_makespan(self, budget: float,
-                                backend: str = "auto") -> LPSolution:
-        """:meth:`solve_min_makespan` through the warm sweep kernel.
-
-        The engine's cached LP backend routes every min-makespan solve
-        here, so consecutive same-skeleton solves -- a sweep shard, a grid
-        column -- automatically share warm state.  See the module
-        docstring for the backend/bit-identity contract.
-        """
-        check_non_negative(budget, "budget")
-        return self._warm_solve("makespan", float(budget), backend)
-
-    def warm_solve_min_resource(self, target_makespan: float,
-                                backend: str = "auto") -> LPSolution:
-        """:meth:`solve_min_resource` through the warm sweep kernel."""
-        check_non_negative(target_makespan, "target_makespan")
-        return self._warm_solve("resource", float(target_makespan), backend)
-
-    def solve_min_makespan_sweep(self, budgets: Sequence[float],
-                                 backend: str = "auto") -> List[LPSolution]:
-        """Solve an ordered budget sweep on this one skeleton, warm-started.
-
-        Returns one :class:`LPSolution` per budget, in input order.  The
-        first solve is cold; every later solve consumes the warm state
-        (``warm_start_hits``), repeated budgets are answered from the memo
-        without a solver call (``warm_reuse_hits``), and under the
-        ``highspy`` backend the loaded model re-solves RHS-only from the
-        previous optimal basis.  Under the default scipy backend every
-        distinct budget produces exactly the scalar
-        :meth:`solve_min_makespan` call, so results are bit-for-bit
-        identical to solving each budget cold.
-        """
-        return [self.warm_solve_min_makespan(budget, backend=backend)
-                for budget in budgets]
-
-    def solve_min_resource_sweep(self, targets: Sequence[float],
-                                 backend: str = "auto") -> List[LPSolution]:
-        """Solve an ordered makespan-target sweep, warm-started (see
-        :meth:`solve_min_makespan_sweep`)."""
-        return [self.warm_solve_min_resource(target, backend=backend)
-                for target in targets]
-
-    def _warm_solve(self, objective: str, value: float, backend: str) -> LPSolution:
-        require(backend in ("auto", "scipy", "highspy"),
-                f"unknown LP sweep backend {backend!r}")
-        if backend == "highspy":
-            require(_load_highspy() is not None,
-                    "backend='highspy' requested but highspy is not installed")
-        use_highs = (backend == "highspy"
-                     or (backend == "auto" and _load_highspy() is not None))
-        with self._warm_lock:
-            if self._warm is None:
-                self._warm = _WarmState()
-            state = self._warm
-            _KERNEL_COUNTERS["sweep_solves"] += 1
-            key = (objective, value)
-            hit = state.memo.get(key)
-            if hit is not None:
-                _KERNEL_COUNTERS["warm_reuse_hits"] += 1
-                _KERNEL_COUNTERS["warm_start_hits"] += 1
-                return _copy_solution(hit)
-            warm = state.solves > 0
-            solution: Optional[LPSolution] = None
-            if use_highs:
-                try:
-                    solution = self._solve_loaded_highs(state, objective, value)
-                except Exception:  # noqa: BLE001 - optional backend, never fatal
-                    _KERNEL_COUNTERS["highs_fallbacks"] += 1
-                    state.highs_models.pop(objective, None)
-                    solution = None
-            if solution is None:
-                if objective == "makespan":
-                    solution = self.solve_min_makespan(value)
-                else:
-                    solution = self.solve_min_resource(value)
-            if warm:
-                _KERNEL_COUNTERS["warm_start_hits"] += 1
-            state.solves += 1
-            state.remember(key, solution)
-            return solution
-
-    def _solve_loaded_highs(self, state: _WarmState, objective: str,
-                            value: float) -> LPSolution:
-        """RHS-only re-solve on the persistent highspy model (basis reuse)."""
-        model = state.highs_models.get(objective)
-        if model is None:
-            model = _LoadedHighsModel(self, objective)
-            state.highs_models[objective] = model
-        else:
-            _KERNEL_COUNTERS["highs_rhs_resolves"] += 1
-        return model.resolve(value)
 
     def _solve(self, model: _HighsModel, row_upper: np.ndarray,
                col_upper: np.ndarray) -> LPSolution:
@@ -674,17 +469,13 @@ class LPModelSkeleton:
                               relaxed_arcs=self.relaxed)
         if status != 0:  # pragma: no cover - defensive
             raise RuntimeError(f"LP solver failed: {message}")
-        return self._extract_solution(float(fun), x)
-
-    def _extract_solution(self, objective_value: float, x: Any) -> LPSolution:
-        """An :class:`LPSolution` from a raw variable vector (any backend)."""
         values = np.asarray(x, dtype=float).tolist()
         flows = {arc_id: max(value, 0.0) for arc_id, value in zip(self._arc_ids, values)}
         times = dict(zip(self._vertices, values[len(self._arc_ids):]))
         budget_used = float(sum(flows[self._arc_ids[i]] for i in self.source_arc_indices))
         return LPSolution(
             status="optimal",
-            objective=objective_value,
+            objective=float(fun),
             flows=flows,
             times=times,
             makespan=times[self.arc_dag.sink],
@@ -693,100 +484,7 @@ class LPModelSkeleton:
         )
 
 
-class _LoadedHighsModel:
-    """One skeleton objective loaded into a persistent ``highspy.Highs``.
-
-    The skeleton's column-wise arrays are passed to HiGHS once; every
-    :meth:`resolve` only patches the budget row's RHS (min-makespan) or the
-    sink variable's upper bound (min-resource) and re-runs, so HiGHS keeps
-    its factorization and warm-starts the dual simplex from the previous
-    optimal basis -- the true basis-reuse path a fresh wrapper call cannot
-    offer.
-    """
-
-    def __init__(self, skeleton: "LPModelSkeleton", objective: str):
-        highspy = _load_highspy()
-        require(highspy is not None, "highspy is not installed")
-        self.skeleton = skeleton
-        self.objective = objective
-        self._inf = float(highspy.kHighsInf)
-        self._status_optimal = highspy.HighsModelStatus.kOptimal
-        self._status_infeasible = highspy.HighsModelStatus.kInfeasible
-        model = (skeleton._makespan_model if objective == "makespan"
-                 else skeleton._resource_model)
-        n_rows = len(model.row_upper)
-
-        lp = highspy.HighsLp()
-        lp.num_col_ = skeleton.n_vars
-        lp.num_row_ = n_rows
-        lp.col_cost_ = model.cost
-        lp.col_lower_ = skeleton._col_lower
-        lp.col_upper_ = skeleton._col_upper
-        lp.row_lower_ = model.row_lower
-        lp.row_upper_ = model.row_upper
-        lp.a_matrix_.format_ = highspy.MatrixFormat.kColwise
-        lp.a_matrix_.num_col_ = skeleton.n_vars
-        lp.a_matrix_.num_row_ = n_rows
-        lp.a_matrix_.start_ = model.indptr
-        lp.a_matrix_.index_ = model.indices
-        lp.a_matrix_.value_ = model.data
-
-        h = highspy.Highs()
-        h.setOptionValue("output_flag", False)
-        status = h.passModel(lp)
-        require(status == highspy.HighsStatus.kOk,
-                f"highspy rejected the LP model: {status}")
-        self.h = h
-        _KERNEL_COUNTERS["highs_model_builds"] += 1
-
-    def resolve(self, value: float) -> LPSolution:
-        """Re-solve the loaded model for one new RHS value."""
-        skeleton = self.skeleton
-        if self.objective == "makespan":
-            self.h.changeRowBounds(skeleton._budget_row, -self._inf, float(value))
-        else:
-            self.h.changeColBounds(skeleton._sink_var, 0.0, float(value))
-        self.h.run()
-        _KERNEL_COUNTERS["skeleton_solves"] += 1
-        iterations = int(getattr(self.h.getInfo(), "simplex_iteration_count", 0))
-        _KERNEL_COUNTERS["simplex_iterations"] += max(iterations, 0)
-        model_status = self.h.getModelStatus()
-        if model_status == self._status_infeasible:
-            return LPSolution(status="infeasible", objective=math.inf,
-                              relaxed_arcs=skeleton.relaxed)
-        require(model_status == self._status_optimal,
-                f"highspy solve failed: {model_status}")
-        solution = self.h.getSolution()
-        return skeleton._extract_solution(float(self.h.getObjectiveValue()),
-                                          solution.col_value)
-
-
-def solve_min_makespan_sweep(arc_dag: ArcDAG, budgets: Sequence[float],
-                             big_m: Optional[float] = None,
-                             backend: str = "auto") -> List[LPSolution]:
-    """Solve an ordered budget sweep on one shared, warm-started skeleton.
-
-    Builds one :class:`LPModelSkeleton` and drives it across every budget
-    via :meth:`LPModelSkeleton.solve_min_makespan_sweep` -- 1 model build,
-    warm state threaded between solves.  See the module docstring for the
-    backend contract (``highspy`` basis reuse vs. the bit-identical scipy
-    default).
-    """
-    return LPModelSkeleton(arc_dag, big_m).solve_min_makespan_sweep(
-        budgets, backend=backend)
-
-
-def solve_min_resource_sweep(arc_dag: ArcDAG, targets: Sequence[float],
-                             big_m: Optional[float] = None,
-                             backend: str = "auto") -> List[LPSolution]:
-    """Solve an ordered makespan-target sweep on one warm-started skeleton
-    (the min-resource counterpart of :func:`solve_min_makespan_sweep`)."""
-    return LPModelSkeleton(arc_dag, big_m).solve_min_resource_sweep(
-        targets, backend=backend)
-
-
-def solve_min_makespan_lp(arc_dag: ArcDAG, budget: float,
-                          big_m: Optional[float] = None) -> LPSolution:
+def solve_min_makespan_lp(arc_dag: ArcDAG, budget: float) -> LPSolution:
     """Solve LP (6)-(10): minimise the sink event time under a resource budget.
 
     Builds a fresh :class:`LPModelSkeleton` per call; sweeps over the same
@@ -794,11 +492,10 @@ def solve_min_makespan_lp(arc_dag: ArcDAG, budget: float,
     :mod:`repro.engine.batch`, which caches them per fingerprint).
     """
     check_non_negative(budget, "budget")
-    return LPModelSkeleton(arc_dag, big_m).solve_min_makespan(budget)
+    return LPModelSkeleton(arc_dag).solve_min_makespan(budget)
 
 
-def solve_min_resource_lp(arc_dag: ArcDAG, target_makespan: float,
-                          big_m: Optional[float] = None) -> LPSolution:
+def solve_min_resource_lp(arc_dag: ArcDAG, target_makespan: float) -> LPSolution:
     """Solve the min-resource variant: minimise source outflow with ``T_t <= target``."""
     check_non_negative(target_makespan, "target_makespan")
-    return LPModelSkeleton(arc_dag, big_m).solve_min_resource(target_makespan)
+    return LPModelSkeleton(arc_dag).solve_min_resource(target_makespan)

@@ -406,17 +406,18 @@ def decompose_series_parallel(dag: TradeoffDAG) -> Optional[SPNode]:
             seen[key] = idx
         if changed:
             continue
-        # series reduction
+        # series reduction.  A candidate has out-degree 1, so it is a key of
+        # ``outdeg``; trying them in that dict's (first-appearance) order
+        # keeps the tree's shape, and the DP's tie-breaks, off the hash seed.
         indeg: Dict[Hashable, List[int]] = {}
         outdeg: Dict[Hashable, List[int]] = {}
         for idx, (u, v, tree) in enumerate(arcs):
             outdeg.setdefault(u, []).append(idx)
             indeg.setdefault(v, []).append(idx)
-        for vertex in set(indeg) | set(outdeg):
+        for vertex, outs in outdeg.items():
             if vertex in (source, sink):
                 continue
             ins = indeg.get(vertex, [])
-            outs = outdeg.get(vertex, [])
             if len(ins) == 1 and len(outs) == 1 and ins[0] != outs[0]:
                 i, o = ins[0], outs[0]
                 u, _, t1 = arcs[i]

@@ -331,7 +331,7 @@ class AsyncSweepService(SweepFront):
         ``"service"``, the persistent store's work counters under
         ``"store"`` (``None`` without a store), the in-memory solution
         LRU under ``"lru"``, the batched-kernel counters (LP skeleton
-        cache, warm-start totals, structure probes) under ``"kernels"``
+        cache, LP solve totals, structure probes) under ``"kernels"``
         and the scenario DAG-build counters under ``"materializations"``.
 
         Every leaf is a number (or a short string), deliberately

@@ -49,19 +49,18 @@ __all__ = [
     "clear_lp_skeleton_cache",
 ]
 
-#: Content-addressed skeleton cache: ``(arc-DAG fingerprint, big_m) -> skeleton``.
+#: Content-addressed skeleton cache: ``arc-DAG fingerprint -> skeleton``.
 _SKELETON_CACHE = LRUCache(maxsize=64)
 
-#: Identity fast path: ``id(arc_dag) -> (arc_dag, big_m, skeleton,
-#: mutation count)``.  Entries hold the arc DAG strongly so a cached id
-#: cannot be recycled while the entry lives; the ``is`` + mutation-count
-#: checks guard eviction races and in-place edits (arc DAGs from the
-#: Section 2 / 3.1 transforms are never edited, but a hand-built one could
-#: be).
+#: Identity fast path: ``id(arc_dag) -> (arc_dag, skeleton, mutation
+#: count)``.  Entries hold the arc DAG strongly so a cached id cannot be
+#: recycled while the entry lives; the ``is`` + mutation-count checks guard
+#: eviction races and in-place edits (arc DAGs from the Section 2 / 3.1
+#: transforms are never edited, but a hand-built one could be).
 _ID_CACHE = LRUCache(maxsize=128)
 
 
-def get_lp_skeleton(arc_dag: ArcDAG, big_m: Optional[float] = None) -> LPModelSkeleton:
+def get_lp_skeleton(arc_dag: ArcDAG) -> LPModelSkeleton:
     """The (cached) prebuilt LP model for ``arc_dag``.
 
     Two tiers: an object-identity fast path (no hashing -- the in-process
@@ -72,15 +71,14 @@ def get_lp_skeleton(arc_dag: ArcDAG, big_m: Optional[float] = None) -> LPModelSk
     """
     mutations = arc_dag.mutations
     hit = _ID_CACHE.get(id(arc_dag))
-    if (hit is not None and hit[0] is arc_dag and hit[1] == big_m
-            and hit[3] == mutations):
-        return hit[2]
-    key = (arcdag_fingerprint(arc_dag), big_m)
+    if hit is not None and hit[0] is arc_dag and hit[2] == mutations:
+        return hit[1]
+    key = arcdag_fingerprint(arc_dag)
     skeleton = _SKELETON_CACHE.get(key)
     if skeleton is None:
-        skeleton = LPModelSkeleton(arc_dag, big_m)
+        skeleton = LPModelSkeleton(arc_dag)
         _SKELETON_CACHE.put(key, skeleton)
-    _ID_CACHE.put(id(arc_dag), (arc_dag, big_m, skeleton, mutations))
+    _ID_CACHE.put(id(arc_dag), (arc_dag, skeleton, mutations))
     return skeleton
 
 
@@ -88,24 +86,19 @@ class CachedLPBackend:
     """``lp_backend`` implementation backed by :func:`get_lp_skeleton`.
 
     Injected by :mod:`repro.engine.solvers` into every registered LP
-    pipeline.  Solves are routed through the skeleton's *warm* sweep
-    kernel (:meth:`~repro.core.lp.LPModelSkeleton.warm_solve_min_makespan`),
-    so consecutive same-skeleton solves -- a sweep shard, a grid column --
-    share warm state automatically: repeated RHS values are answered from
-    the sweep memo without a solver call, and with ``highspy`` installed
-    the loaded model re-solves RHS-only from the previous optimal basis.
-    Under the default scipy backend every distinct RHS produces exactly
-    the scalar :func:`~repro.core.lp.solve_min_makespan_lp` /
-    :func:`~repro.core.lp.solve_min_resource_lp` call, so results stay
-    bit-for-bit identical to the historical per-call path (memo answers
-    repeat inputs of a deterministic solver -- identical by construction).
+    pipeline.  Each solve is one RHS patch and one HiGHS call on the cached
+    skeleton (:meth:`~repro.core.lp.LPModelSkeleton.solve_min_makespan` /
+    :meth:`~repro.core.lp.LPModelSkeleton.solve_min_resource`), so results
+    are bit-for-bit those of the one-shot
+    :func:`~repro.core.lp.solve_min_makespan_lp` /
+    :func:`~repro.core.lp.solve_min_resource_lp`.
     """
 
     def solve_min_makespan(self, arc_dag: ArcDAG, budget: float) -> LPSolution:
-        return get_lp_skeleton(arc_dag).warm_solve_min_makespan(budget)
+        return get_lp_skeleton(arc_dag).solve_min_makespan(budget)
 
     def solve_min_resource(self, arc_dag: ArcDAG, target_makespan: float) -> LPSolution:
-        return get_lp_skeleton(arc_dag).warm_solve_min_resource(target_makespan)
+        return get_lp_skeleton(arc_dag).solve_min_resource(target_makespan)
 
 
 #: The shared backend instance the engine passes to LP-based solvers.

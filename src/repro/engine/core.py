@@ -580,8 +580,8 @@ def solution_cache_info() -> dict:
     ``"store"`` key holds the persistent store's :meth:`~SolutionStore.info`
     dict (decode/scan counters included), or ``None`` when no store is
     installed, and the ``"lp"`` key holds the LP kernel counters
-    (:func:`~repro.core.lp.lp_kernel_counters` -- skeleton reuse plus the
-    warm-start / simplex-iteration totals), so one call surfaces every
+    (:func:`~repro.core.lp.lp_kernel_counters` -- skeleton builds, solves
+    and simplex iterations), so one call surfaces every
     cache tier a metrics endpoint would export.
     """
     from repro.core.lp import lp_kernel_counters

@@ -26,14 +26,11 @@ from repro.core.duration import (
 )
 from repro.core.lp import (
     LPModelSkeleton,
-    available_lp_backends,
     lp_kernel_counters,
     solve_min_makespan_lp,
-    solve_min_makespan_sweep,
     solve_min_resource_lp,
-    solve_min_resource_sweep,
 )
-from repro.core.problem import MinMakespanProblem
+from repro.core.problem import MinMakespanProblem, MinResourceProblem
 from repro.core.series_parallel import (
     SPLeaf,
     _leaf_table,
@@ -186,6 +183,13 @@ class TestLPSkeletonEquivalence:
         assert skeleton.solve_min_resource(1.0).status == "infeasible"
         assert solve_min_resource_lp(dag, 1.0).status == "infeasible"
 
+    def test_infeasible_then_feasible_targets_on_one_skeleton(self):
+        dag = ArcDAG()
+        dag.add_arc("s", "t", GeneralStepDuration([(0, 5), (3, 1)]), arc_id="e")
+        skeleton = LPModelSkeleton(dag)
+        solved = [skeleton.solve_min_resource(target) for target in (0.5, 1.0, 5.0)]
+        assert [s.status for s in solved] == ["infeasible", "optimal", "optimal"]
+
     @settings(max_examples=10, deadline=None)
     @given(st.integers(3, 6), st.integers(0, 500))
     def test_random_dags_match(self, jobs, seed):
@@ -205,84 +209,6 @@ class TestLPSkeletonEquivalence:
         b = simple_lp_arcdag()  # distinct object, identical content
         assert get_lp_skeleton(a) is get_lp_skeleton(b)
         assert get_lp_skeleton(a) is get_lp_skeleton(a)  # identity fast path
-
-
-# ----------------------------------------------------------------------
-# warm-started sweep kernels
-# ----------------------------------------------------------------------
-class TestWarmSweeps:
-    BUDGETS = [0.0, 1.0, 2.5, 2.5, 4.0, 8.0]  # includes a repeated RHS
-    TARGETS = [0.0, 4.0, 9.5, 16.0, 16.0, 50.0]
-
-    def _assert_identical(self, got, want):
-        assert got.status == want.status
-        assert got.objective == want.objective
-        assert got.flows == want.flows
-        assert got.times == want.times
-        assert got.makespan == want.makespan
-        assert got.budget_used == want.budget_used
-
-    def test_budget_sweep_bit_identical_to_scalar_scipy(self):
-        dag = simple_lp_arcdag()
-        swept = solve_min_makespan_sweep(dag, self.BUDGETS)
-        assert len(swept) == len(self.BUDGETS)
-        for budget, solution in zip(self.BUDGETS, swept):
-            self._assert_identical(solution, solve_min_makespan_lp(dag, budget))
-
-    def test_target_sweep_bit_identical_to_scalar_scipy(self):
-        dag = simple_lp_arcdag()
-        swept = solve_min_resource_sweep(dag, self.TARGETS)
-        for target, solution in zip(self.TARGETS, swept):
-            self._assert_identical(solution, solve_min_resource_lp(dag, target))
-
-    def test_sweep_counts_warm_start_hits(self):
-        clear_caches()
-        skeleton = get_lp_skeleton(simple_lp_arcdag())
-        skeleton.solve_min_makespan_sweep(self.BUDGETS)
-        counters = lp_kernel_counters()
-        assert counters["sweep_solves"] == len(self.BUDGETS)
-        # the acceptance gate: every solve after the first runs warm
-        assert counters["warm_start_hits"] >= len(self.BUDGETS) - 1
-        # the one repeated budget is answered from the sweep memo
-        assert counters["warm_reuse_hits"] == 1
-        # the memo never collapses *distinct* RHS values into one solve
-        assert counters["skeleton_solves"] == len(set(self.BUDGETS))
-
-    def test_memo_answers_are_copies(self):
-        skeleton = LPModelSkeleton(simple_lp_arcdag())
-        first, second = skeleton.solve_min_makespan_sweep([2.0, 2.0])
-        assert first is not second
-        assert first.flows == second.flows
-        second.flows["poisoned"] = 1.0  # a caller mutation must not leak
-        assert "poisoned" not in skeleton.solve_min_makespan_sweep([2.0])[0].flows
-
-    def test_infeasible_then_feasible_targets(self):
-        dag = ArcDAG()
-        dag.add_arc("s", "t", GeneralStepDuration([(0, 5), (3, 1)]), arc_id="e")
-        skeleton = LPModelSkeleton(dag)
-        swept = skeleton.solve_min_resource_sweep([0.5, 1.0, 5.0])
-        assert [s.status for s in swept] == ["infeasible", "optimal", "optimal"]
-
-    def test_unknown_backend_rejected(self):
-        skeleton = LPModelSkeleton(simple_lp_arcdag())
-        with pytest.raises(Exception):
-            skeleton.solve_min_makespan_sweep([1.0], backend="glpk")
-
-    def test_backend_listing(self):
-        backends = available_lp_backends()
-        assert "scipy" in backends
-        assert set(backends) <= {"scipy", "highspy"}
-
-    def test_certificates_pass_on_warm_routed_solves(self):
-        # engine-level: the CachedLPBackend now routes through the warm
-        # kernel; certificate checks must still pass for every budget.
-        dag = layered_dag(2)
-        clear_caches()
-        for budget in (2.0, 4.0, 7.0, 4.0):
-            report = solve(MinMakespanProblem(dag, budget),
-                           method="bicriteria-lp", alpha=0.5, use_cache=False)
-            assert report.certificate is not None
-            assert report.certificate.passed
 
 
 # ----------------------------------------------------------------------
@@ -322,12 +248,25 @@ class TestSolveLpBatch:
 
     def test_one_skeleton_build_per_dag_group(self):
         dag = layered_dag(3)
-        problems = [MinMakespanProblem(dag, b) for b in (1.0, 2.0, 3.0, 4.0, 5.0)]
+        groups = [[MinMakespanProblem(dag, b) for b in (1.0, 2.0, 3.0, 4.0, 5.0)],
+                  [MinResourceProblem(dag, t) for t in (12.0, 16.0, 20.0, 24.0)]]
+        for problems in groups:
+            clear_caches()
+            solve_lp_batch(problems, method="bicriteria-lp", options={"alpha": 0.5})
+            counters = lp_kernel_counters()
+            assert counters["skeleton_builds"] == 1
+            assert counters["skeleton_solves"] == len(problems)
+
+    def test_certificates_pass_through_cached_backend(self):
+        # Every engine LP solve goes through CACHED_LP_BACKEND's skeleton,
+        # repeated budgets included.
+        dag = layered_dag(2)
         clear_caches()
-        solve_lp_batch(problems, method="bicriteria-lp", options={"alpha": 0.5})
-        counters = lp_kernel_counters()
-        assert counters["skeleton_builds"] == 1
-        assert counters["skeleton_solves"] == len(problems)
+        for budget in (2.0, 4.0, 7.0, 4.0):
+            report = solve(MinMakespanProblem(dag, budget),
+                           method="bicriteria-lp", alpha=0.5, use_cache=False)
+            assert report.certificate is not None
+            assert report.certificate.passed
 
     def test_content_equal_dag_objects_share_one_group(self):
         # Pickled shard copies of one workload are distinct objects with the

@@ -15,15 +15,12 @@ import contextlib
 import os
 import subprocess
 import sys
-import types
 from pathlib import Path
 
 import numpy as np
-import pytest
 import scipy.optimize._linprog_highs as linprog_highs
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
-from scipy.optimize._highspy import _core as vendored_highs
 
 import repro.core.lp as lp
 from repro.core.arcdag import expand_to_two_tuples, node_to_arc_dag
@@ -230,39 +227,3 @@ class TestProbe:
                               text=True, env=dict(os.environ, PYTHONPATH=SRC),
                               timeout=120)
         assert done.returncode == 0 and done.stdout.strip() == "ok", done.stderr
-
-
-class TestLoadedHighsModel:
-    """The ``highspy`` backend, run on SciPy's vendored HiGHS class.
-
-    ``highspy`` is an optional dependency the test environment need not
-    have; the vendored class has the same interface for every name
-    :class:`~repro.core.lp._LoadedHighsModel` uses.
-    """
-
-    def test_rhs_resolves_match_the_direct_objectives(self, monkeypatch):
-        shim = types.SimpleNamespace(
-            Highs=vendored_highs._Highs, HighsLp=vendored_highs.HighsLp,
-            MatrixFormat=vendored_highs.MatrixFormat,
-            HighsStatus=vendored_highs.HighsStatus,
-            HighsModelStatus=vendored_highs.HighsModelStatus,
-            kHighsInf=vendored_highs.kHighsInf)
-        arc_dag = lp_arc_dag("layered", "general", 2)
-        skeleton = LPModelSkeleton(arc_dag)
-        budgets = [0.0, 1.0, 2.5, 6.0]
-        base = skeleton.solve_min_makespan(0.0).makespan
-        targets = [0.0, 0.5 * base, 0.8 * base, base]
-        expected = ([skeleton.solve_min_makespan(b) for b in budgets]
-                    + [skeleton.solve_min_resource(t) for t in targets])
-
-        monkeypatch.setattr(lp, "_HIGHSPY", shim)
-        before = lp_kernel_counters()
-        loaded = LPModelSkeleton(arc_dag)
-        got = (loaded.solve_min_makespan_sweep(budgets, backend="highspy")
-               + loaded.solve_min_resource_sweep(targets, backend="highspy"))
-        after = lp_kernel_counters()
-        assert after["highs_fallbacks"] == before["highs_fallbacks"]
-        assert after["highs_model_builds"] - before["highs_model_builds"] == 2
-        for want, have in zip(expected, got):
-            assert have.status == want.status
-            assert have.objective == pytest.approx(want.objective, rel=1e-7)

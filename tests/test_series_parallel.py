@@ -2,6 +2,12 @@
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -142,3 +148,57 @@ class TestRecognition:
         dag = tree.to_dag()
         dag.validate()
         assert set(tree.job_names()) <= set(map(str, dag.jobs)) | set(dag.jobs)
+
+
+#: Solves each cell given as JSON in argv[1] through the SP DP and prints
+#: the stored payloads, ``wall_time`` removed.
+_SOLVE_CELLS = """
+import json, sys
+from repro.engine.core import request_key, solve
+from repro.engine.store import report_to_payload
+from repro.scenarios import ScenarioSpec
+payloads = []
+for cell in json.loads(sys.argv[1]):
+    problem = ScenarioSpec.from_payload(cell).materialize()
+    key = request_key(problem, method="series-parallel-dp")
+    payload = report_to_payload(solve(problem, method="series-parallel-dp"), key)
+    del payload["wall_time"]
+    payloads.append(payload)
+print(json.dumps(payloads, sort_keys=True))
+"""
+
+SP_CELLS = [
+    {"generator": "sp-random", "params": {"num_jobs": 40, "family": "kway"},
+     "seed": 0, "budget_rule": ["const", 6.0]},
+    {"generator": "sp-random", "params": {"num_jobs": 60, "family": "general"},
+     "seed": 1, "budget_rule": ["const", 8.0]},
+    {"generator": "sp-balanced", "params": {"depth": 4, "family": "binary"},
+     "seed": 2, "budget_rule": ["const", 6.0]},
+    {"generator": "staged-fork-join",
+     "params": {"stage_widths": [3, 2], "work": 12, "family": "kway"},
+     "seed": 3, "budget_rule": ["const", 4.0]},
+]
+
+
+class TestCrossProcessDeterminism:
+    def test_stored_reports_do_not_follow_the_hash_seed(self):
+        """Two processes store one report under one request key.
+
+        Job ids are strings, whose hashes change with ``PYTHONHASHSEED``;
+        recognition must not iterate anything in hash order.
+        """
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        runs = [subprocess.Popen([sys.executable, "-c", _SOLVE_CELLS, json.dumps(SP_CELLS)],
+                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                                 env=dict(os.environ, PYTHONPATH=src,
+                                          PYTHONHASHSEED=str(hash_seed)))
+                for hash_seed in range(4)]
+        outputs = []
+        for run in runs:
+            stdout, stderr = run.communicate(timeout=300)
+            assert run.returncode == 0, stderr
+            outputs.append(json.loads(stdout))
+        for index, cell in enumerate(SP_CELLS):
+            answers = [payloads[index] for payloads in outputs]
+            assert answers[0]["solver_id"] == "series-parallel-dp"
+            assert all(answer == answers[0] for answer in answers[1:]), cell

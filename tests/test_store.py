@@ -322,7 +322,7 @@ class TestTwoTierSolve:
         for counter in ("payload_decodes", "alias_fast_hits", "scans",
                         "full_shard_parses"):
             assert info["store"][counter] == 0
-        assert info["lp"]["warm_start_hits"] == 0
+        assert info["lp"]["skeleton_solves"] == 0
         assert "simplex_iterations" in info["lp"]
 
     def test_distinct_requests_get_distinct_keys(self):
